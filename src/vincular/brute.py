@@ -14,7 +14,7 @@ from itertools import permutations, repeat
 from typing import Iterator
 
 from .blocks import PATTERN
-from .gentree import generate_level
+from .gentree import generate_level, pool_size
 from .perms import DashedPattern, Perm, avoids, label
 
 ENUMERATION_CAP = 10
@@ -64,7 +64,7 @@ def brute_avoiders(
     if workers <= 1 or n <= 6:
         return [w for w in permutations(range(1, n + 1)) if avoids(pattern, w)]
     out: list[Perm] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=pool_size(workers, n)) as pool:
         for chunk in pool.map(_avoider_chunk, repeat(pattern), repeat(n), range(1, n + 1)):
             out.extend(chunk)
     return out

@@ -22,9 +22,20 @@ from .perms import parse_dashed_pattern
 # Enumerating levels much past this takes minutes and gigabytes of text.
 GENERATE_CAP = 11
 CENSUS_CAP = 9
+# Every verify suite but pde enumerates whole levels of the tree.
+VERIFY_CAP = 9
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {value}")
+    return value
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    if args.n < 0:
+        raise ValueError(f"length must be nonnegative: {args.n}")
     pattern = parse_dashed_pattern(args.pattern)
     if args.method == "recurrence":
         if pattern == PATTERN:
@@ -91,8 +102,8 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_eco(n_max: int, workers: int) -> tuple[bool, str]:
-    diff = brute.oracle_diff(n_max, workers=workers)
+def _verify_eco(n_max: int, workers: int, force: bool) -> tuple[bool, str]:
+    diff = brute.oracle_diff(n_max, workers=workers, force=force)
     if not diff.ok:
         return False, str(diff)
     for n in range(1, n_max):
@@ -105,10 +116,12 @@ def _verify_eco(n_max: int, workers: int) -> tuple[bool, str]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     wanted = ("eco", "labelling", "series", "pde") if args.suite == "all" else (args.suite,)
+    if args.n > VERIFY_CAP and not args.force and wanted != ("pde",):
+        raise ValueError(f"verifying past n={VERIFY_CAP} needs --force (pde has no cap)")
     results: dict[str, dict[str, object]] = {}
     for suite in wanted:
         if suite == "eco":
-            ok, detail = _verify_eco(args.n, args.threads)
+            ok, detail = _verify_eco(args.n, args.threads, args.force)
         elif suite == "labelling":
             report = gentree.verify_labelling(args.n)
             ok, detail = report.ok, str(report)
@@ -143,14 +156,14 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument(
         "--method", choices=("tree", "recurrence", "brute", "cfrac"), default="recurrence"
     )
-    count.add_argument("--threads", type=int, default=1)
+    count.add_argument("--threads", type=_positive_int, default=1)
     count.add_argument("--force", action="store_true", help="lift the size caps")
     count.set_defaults(func=_cmd_count)
 
     generate = sub.add_parser("generate", help="print all avoiders of length n in tree order")
     generate.add_argument("--n", type=int, required=True)
     generate.add_argument("--format", choices=("lines", "json"), default="lines")
-    generate.add_argument("--threads", type=int, default=1)
+    generate.add_argument("--threads", type=_positive_int, default=1)
     generate.add_argument("--force", action="store_true", help="lift the size caps")
     generate.set_defaults(func=_cmd_generate)
 
@@ -171,8 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite", choices=("eco", "labelling", "series", "pde", "all"), default="all"
     )
     verify.add_argument("--n", type=int, default=6)
-    verify.add_argument("--threads", type=int, default=1)
+    verify.add_argument("--threads", type=_positive_int, default=1)
     verify.add_argument("--json", action="store_true", help="machine readable report")
+    verify.add_argument("--force", action="store_true", help="lift the size caps")
     verify.set_defaults(func=_cmd_verify)
 
     return parser

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from vincular.cli import main
 
@@ -63,6 +66,30 @@ def test_generate_json_and_threads(capsys):
     assert json.loads(solo) == level
 
 
+def test_generate_n9_output_is_unchanged(capsys):
+    code, out, _ = run(capsys, "generate", "--n", "9")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4352863822b9f845d36610d3b0606f38c62e19589a7fc5391ef939970f74f85a"
+    )
+
+
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_threads_below_one_rejected_at_parse_time(capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--n", "9", "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["recurrence", "tree", "brute", "cfrac"])
+def test_count_negative_n(capsys, method):
+    code, out, err = run(capsys, "count", "--n", "-1", "--method", method)
+    assert code == 2
+    assert out == ""
+    assert "nonnegative" in err
+
+
 def test_generate_cap(capsys):
     code, _, err = run(capsys, "generate", "--n", "12")
     assert code == 2
@@ -114,6 +141,13 @@ def test_verify_all(capsys):
     lines = out.splitlines()
     assert len(lines) == 4
     assert all(": ok (" in line for line in lines)
+
+
+def test_verify_cap(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "labelling", "--n", "12")
+    assert code == 2
+    assert out == ""
+    assert "--force" in err
 
 
 def test_verify_single_suite_json(capsys):
