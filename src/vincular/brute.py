@@ -1,9 +1,17 @@
-"""Brute-force oracle: filter full symmetric groups by pattern search.
+"""Brute-force oracle: build avoiders letter by letter with a generic
+occurrence test.
 
-Everything here deliberately ignores the block structure of the class, so
-its output can arbitrate the fast paths.  Enumeration is capped at length
-10 (3.6 million words) to keep accidental calls cheap; pass ``force`` to
-go past the cap.
+Words grow depth-first, one letter at a time, with values tried in
+increasing order, so avoiders come out in lexicographic order.  Dashes only
+constrain adjacency, so an occurrence inside a prefix stays an occurrence in
+every extension of it: a prefix is pruned as soon as it contains one, and
+each new letter is checked only for the occurrences that end at it
+(``perms.occurs_ending_at``).  Everything here deliberately ignores the
+block structure of the class, so its output can arbitrate the fast paths.
+``_filter_avoiders``, which filters the whole symmetric group with
+``avoids``, is the slow reference the tests pin the search to.
+Enumeration is capped at length 10 (3.6 million words) to keep accidental
+calls cheap; pass ``force`` to go past the cap.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from typing import Iterator
 
 from .blocks import PATTERN
 from .gentree import generate_level, pool_size
-from .perms import DashedPattern, Perm, avoids, label
+from .perms import DashedPattern, Perm, avoids, label, occurs_ending_at
 
 ENUMERATION_CAP = 10
 
@@ -35,13 +43,41 @@ def all_permutations(n: int, force: bool = False) -> Iterator[Perm]:
     return permutations(range(1, n + 1))
 
 
+def _filter_avoiders(pattern: DashedPattern, n: int) -> list[Perm]:
+    # The reference for ``brute_avoiders``: test every word in full.
+    return [w for w in all_permutations(n, force=True) if avoids(pattern, w)]
+
+
 def _avoider_chunk(pattern: DashedPattern, n: int, first: int) -> list[Perm]:
-    rest = [v for v in range(1, n + 1) if v != first]
-    out = []
-    for tail in permutations(rest):
-        word = (first,) + tail
-        if avoids(pattern, word):
-            out.append(word)
+    """Avoiders of length n >= 1 that begin with ``first``, in
+    lexicographic order."""
+    word = [first] + [0] * (n - 1)
+    if occurs_ending_at(pattern, word, 0):
+        return []
+    # free[m] lists the values not in word[:m] in increasing order, and
+    # tried[m] is the index in free[m] of the value last put at word[m].
+    free: list[list[int]] = [[]] * (n + 1)
+    free[1] = [v for v in range(1, n + 1) if v != first]
+    tried = [-1] * (n + 1)
+    out: list[Perm] = []
+    m = 1
+    while m > 0:
+        if m == n:
+            out.append(tuple(word))
+            m -= 1
+            continue
+        values = free[m]
+        i = tried[m] + 1
+        if i == len(values):
+            m -= 1
+            continue
+        tried[m] = i
+        word[m] = values[i]
+        if occurs_ending_at(pattern, word, m):
+            continue
+        m += 1
+        free[m] = values[:i] + values[i + 1 :]
+        tried[m] = -1
     return out
 
 
@@ -50,7 +86,9 @@ def brute_avoiders(
 ) -> list[Perm]:
     """All avoiders of ``pattern`` of length n, in lexicographic order.
 
-    The order and content do not depend on ``workers``.
+    The search runs one chunk per first letter, in a process pool when
+    ``workers`` > 1 and n > 6; the order and content do not depend on
+    ``workers``.
 
     >>> len(brute_avoiders(PATTERN, 4))
     23
@@ -61,13 +99,13 @@ def brute_avoiders(
         raise ValueError(f"enumerating length {n} needs force=True (cap {ENUMERATION_CAP})")
     if n == 0:
         return [()]
+    firsts = range(1, n + 1)
     if workers <= 1 or n <= 6:
-        return [w for w in permutations(range(1, n + 1)) if avoids(pattern, w)]
-    out: list[Perm] = []
-    with ProcessPoolExecutor(max_workers=pool_size(workers, n)) as pool:
-        for chunk in pool.map(_avoider_chunk, repeat(pattern), repeat(n), range(1, n + 1)):
-            out.extend(chunk)
-    return out
+        chunks = [_avoider_chunk(pattern, n, first) for first in firsts]
+    else:
+        with ProcessPoolExecutor(max_workers=pool_size(workers, n)) as pool:
+            chunks = list(pool.map(_avoider_chunk, repeat(pattern), repeat(n), firsts))
+    return [w for chunk in chunks for w in chunk]
 
 
 def brute_census(

@@ -53,6 +53,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
             len(gentree.generate_level(n, workers=args.threads)) for n in range(1, args.n + 1)
         ]
     elif args.method == "brute":
+        if args.n > brute.ENUMERATION_CAP and not args.force:
+            raise ValueError(f"brute counting past n={brute.ENUMERATION_CAP} needs --force")
         values = [
             len(brute.brute_avoiders(pattern, n, workers=args.threads, force=args.force))
             for n in range(args.n + 1)

@@ -196,8 +196,10 @@ class LabellingReport:
 def verify_labelling(n_max: int) -> LabellingReport:
     """Check, for every tree node of length at most n_max, that the labels
     of its children in canonical order are exactly the productions of its
-    own label under ``omega_rule``.
+    own label under ``omega_rule``.  n_max must be at least 1.
     """
+    if n_max < 1:
+        raise ValueError(f"need at least length 1: {n_max}")
     rule = omega_rule()
     if label(ROOT) != rule.axiom:
         return LabellingReport(False, 0, (ROOT, (rule.axiom,), (label(ROOT),)))

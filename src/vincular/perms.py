@@ -15,6 +15,7 @@ middle two letters sit side by side in t.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -75,6 +76,22 @@ class DashedPattern:
 
     def __len__(self) -> int:
         return len(self.underlying)
+
+    @functools.cached_property
+    def _suffix_plan(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        # For each pattern index j < k-1: the indices among j+1..k-1 whose
+        # values are just below and just above pattern[j], -1 when there is
+        # none.  See ``occurs_ending_at``.
+        pat = self.underlying
+        lows: list[int] = []
+        highs: list[int] = []
+        for j, value in enumerate(pat[:-1]):
+            later = range(j + 1, len(pat))
+            below = [i for i in later if pat[i] < value]
+            above = [i for i in later if pat[i] > value]
+            lows.append(max(below, key=pat.__getitem__) if below else -1)
+            highs.append(min(above, key=pat.__getitem__) if above else -1)
+        return tuple(lows), tuple(highs)
 
     def __str__(self) -> str:
         if any(v > 9 for v in self.underlying):
@@ -166,6 +183,61 @@ def _search(pattern: DashedPattern, word: Sequence[int], chosen: list[int]) -> I
             chosen.append(pos)
             yield from _search(pattern, word, chosen)
             chosen.pop()
+
+
+def occurs_ending_at(pattern: DashedPattern, word: Sequence[int], end: int) -> bool:
+    """True when ``word`` has an occurrence of ``pattern`` whose last letter
+    is at position ``end`` (0-based); letters after ``end`` are ignored.
+
+    Letters are matched from the last pattern letter backwards.  A letter
+    written without a dash before the one matched after it has exactly one
+    candidate position; the others may sit anywhere further left.  Because
+    the letters matched so far are already in the pattern's relative order,
+    each candidate is compared only with the two of them whose pattern
+    values are just below and just above its own.  ``word`` must have
+    distinct entries; this is not checked.
+
+    >>> p = parse_dashed_pattern("1-32-4")
+    >>> occurs_ending_at(p, (1, 3, 2, 4), 3)
+    True
+    >>> occurs_ending_at(p, (1, 3, 2, 4, 5), 3), occurs_ending_at(p, (1, 3, 5, 2, 4), 4)
+    (True, False)
+    """
+    adjacency = pattern.adjacency
+    lows, highs = pattern._suffix_plan
+    top = len(lows)  # index of the last pattern letter
+    if end < top:
+        return False
+    if top == 0:
+        return True
+    # pos[i] is the position matched to pattern index i for i > j; the
+    # candidates p for index j are tried right to left, and an exhausted
+    # index backs up to the nearest later index that has a dash after it.
+    pos = [0] * (top + 1)
+    pos[top] = end
+    j = top - 1
+    p = end - 1
+    while True:
+        if p >= j:
+            v = word[p]
+            lo = lows[j]
+            hi = highs[j]
+            if (lo < 0 or word[pos[lo]] < v) and (hi < 0 or v < word[pos[hi]]):
+                if j == 0:
+                    return True
+                pos[j] = p
+                j -= 1
+                p -= 1
+                continue
+            if not adjacency[j]:
+                p -= 1
+                continue
+        j += 1
+        while j < top and adjacency[j]:
+            j += 1
+        if j == top:
+            return False
+        p = pos[j] - 1
 
 
 def occurrences(pattern: DashedPattern, word: Sequence[int]) -> list[tuple[int, ...]]:

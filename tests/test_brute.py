@@ -1,14 +1,25 @@
+from itertools import permutations, product
+
 import pytest
 
 from vincular.blocks import PATTERN
 from vincular.brute import (
     ENUMERATION_CAP,
+    _filter_avoiders,
     all_permutations,
     brute_avoiders,
     brute_census,
     oracle_diff,
 )
-from vincular.perms import parse_dashed_pattern
+from vincular.perms import DashedPattern, parse_dashed_pattern
+
+# every dashed pattern of length <= 4, with every dash placement
+SMALL_PATTERNS = [
+    DashedPattern(underlying, adjacency)
+    for k in range(1, 5)
+    for underlying in permutations(range(1, k + 1))
+    for adjacency in product((False, True), repeat=k - 1)
+]
 
 
 def test_all_permutations_lexicographic():
@@ -48,6 +59,25 @@ def test_brute_avoiders_other_patterns():
 
 def test_brute_avoiders_workers_match(brute_levels):
     assert brute_avoiders(PATTERN, 7, workers=3) == brute_levels[7]
+
+
+def test_search_equals_filter_small_patterns():
+    assert len(SMALL_PATTERNS) == 221
+    for pattern in SMALL_PATTERNS:
+        for n in range(7):
+            assert brute_avoiders(pattern, n) == _filter_avoiders(pattern, n), (str(pattern), n)
+
+
+@pytest.mark.parametrize("text", ["1-32-4", "1-23-4", "31-4-2", "1-3-2", "132"])
+@pytest.mark.parametrize("n", [7, 8])
+def test_search_equals_filter_longer_words(text, n):
+    pattern = parse_dashed_pattern(text)
+    assert brute_avoiders(pattern, n) == _filter_avoiders(pattern, n)
+
+
+def test_search_pool_equals_serial():
+    pattern = parse_dashed_pattern("31-4-2")
+    assert brute_avoiders(pattern, 7, workers=2) == brute_avoiders(pattern, 7)
 
 
 def test_brute_avoiders_cap():

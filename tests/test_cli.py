@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from vincular import brute
 from vincular.cli import main
 
 
@@ -90,6 +91,18 @@ def test_count_negative_n(capsys, method):
     assert "nonnegative" in err
 
 
+def test_count_brute_cap_before_any_level(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("brute_avoiders ran although n is past the cap")
+
+    monkeypatch.setattr(brute, "brute_avoiders", refuse)
+    n = brute.ENUMERATION_CAP + 1
+    code, out, err = run(capsys, "count", "--method", "brute", "--n", str(n))
+    assert code == 2
+    assert out == ""
+    assert "--force" in err
+
+
 def test_generate_cap(capsys):
     code, _, err = run(capsys, "generate", "--n", "12")
     assert code == 2
@@ -148,6 +161,14 @@ def test_verify_cap(capsys):
     assert code == 2
     assert out == ""
     assert "--force" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_verify_labelling_needs_length_one(capsys, n):
+    code, out, err = run(capsys, "verify", "--suite", "labelling", "--n", n)
+    assert code == 2
+    assert out == ""
+    assert "at least length 1" in err
 
 
 def test_verify_single_suite_json(capsys):

@@ -117,6 +117,12 @@ def test_verify_labelling():
     assert "consistent" in str(report)
 
 
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_verify_labelling_rejects_empty_range(n_max):
+    with pytest.raises(ValueError):
+        verify_labelling(n_max)
+
+
 def test_export_tree_dot():
     dot = export_tree(2, "dot")
     assert dot == (

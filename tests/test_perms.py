@@ -1,6 +1,8 @@
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vincular.perms import (
     DashedPattern,
@@ -8,6 +10,7 @@ from vincular.perms import (
     label,
     ltr_minima,
     occurrences,
+    occurs_ending_at,
     order_isomorphic,
     parse_dashed_pattern,
     parse_permutation,
@@ -128,3 +131,25 @@ def test_label_counts_rtl_maxima_right_of_one():
         for w in permutations(range(1, n + 1)):
             pos1 = w.index(1) + 1
             assert label(w) == sum(1 for p in rtl_maxima(w) if p > pos1)
+
+
+@st.composite
+def dashed_patterns(draw):
+    k = draw(st.integers(1, 4))
+    underlying = draw(st.permutations(range(1, k + 1)))
+    adjacency = draw(st.lists(st.booleans(), min_size=k - 1, max_size=k - 1))
+    return DashedPattern(tuple(underlying), tuple(adjacency))
+
+
+@settings(max_examples=300, database=None)
+@given(dashed_patterns(), st.lists(st.integers(-20, 20), unique=True, max_size=10))
+def test_occurs_ending_at_matches_search(pattern, word):
+    ends = {occ[-1] for occ in occurrences(pattern, word)}
+    for end in range(len(word)):
+        assert occurs_ending_at(pattern, word, end) == (end in ends)
+        # letters after the end do not matter
+        assert occurs_ending_at(pattern, word[: end + 1], end) == (end in ends)
+    prefixes_clean = not any(
+        occurs_ending_at(pattern, word[:i], i - 1) for i in range(1, len(word) + 1)
+    )
+    assert avoids(pattern, word) == prefixes_clean
