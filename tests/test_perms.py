@@ -141,7 +141,7 @@ def dashed_patterns(draw):
     return DashedPattern(tuple(underlying), tuple(adjacency))
 
 
-@settings(max_examples=300, database=None)
+@settings(max_examples=300, database=None, deadline=None)
 @given(dashed_patterns(), st.lists(st.integers(-20, 20), unique=True, max_size=10))
 def test_occurs_ending_at_matches_search(pattern, word):
     ends = {occ[-1] for occ in occurrences(pattern, word)}
