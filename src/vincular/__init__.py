@@ -1,102 +1,25 @@
-"""Generating tree and counting toolkit for 1-32-4 avoiding permutations."""
+"""Generating tree and counting toolkit for 1-32-4 avoiding permutations.
 
-from .blocks import (
-    PATTERN,
-    AvoiderType,
-    Block,
-    Decomposition,
-    check_avoidance_by_blocks,
-    classify_type,
-    decompose,
-    recompose,
-)
-from .brute import all_permutations, brute_avoiders, brute_census, oracle_diff
-from .counting import (
-    avoider_counts,
-    callan_3142,
-    callan_3142_triangle,
-    check_functional_equation,
-    check_pde,
-    compare_cfrac_with_counts,
-    continued_fraction_series,
-    count_avoiders,
-    label_series,
-    lomega_apply,
-    u_triangle,
-    v_triangle,
-)
-from .eco import ChildSpec, Insert, MoveAll, Partial, child_label, expand, reduce
-from .gentree import (
-    SuccessionRule,
-    export_tree,
-    generate_level,
-    lambda_rule,
-    level_label_counts,
-    omega_rule,
-    verify_labelling,
-)
-from .perms import (
-    DashedPattern,
-    avoids,
-    label,
-    ltr_minima,
-    occurrences,
-    order_isomorphic,
-    parse_dashed_pattern,
-    parse_permutation,
-    rtl_maxima,
-    standard_reduction,
-)
+The package namespace holds the names of the README's Library section plus
+the two level enumerations; everything else is imported from its module.
+"""
+
+from .blocks import PATTERN
+from .brute import brute_avoiders
+from .counting import count_avoiders
+from .eco import expand, reduce
+from .gentree import generate_level
+from .perms import avoids, label
 
 __version__ = "0.1.0"
 
 __all__ = [
     "PATTERN",
-    "AvoiderType",
-    "Block",
-    "ChildSpec",
-    "DashedPattern",
-    "Decomposition",
-    "Insert",
-    "MoveAll",
-    "Partial",
-    "SuccessionRule",
-    "all_permutations",
-    "avoider_counts",
     "avoids",
     "brute_avoiders",
-    "brute_census",
-    "callan_3142",
-    "callan_3142_triangle",
-    "check_avoidance_by_blocks",
-    "check_functional_equation",
-    "check_pde",
-    "child_label",
-    "classify_type",
-    "compare_cfrac_with_counts",
-    "continued_fraction_series",
     "count_avoiders",
-    "decompose",
     "expand",
-    "export_tree",
     "generate_level",
     "label",
-    "label_series",
-    "lambda_rule",
-    "level_label_counts",
-    "lomega_apply",
-    "ltr_minima",
-    "occurrences",
-    "omega_rule",
-    "oracle_diff",
-    "order_isomorphic",
-    "parse_dashed_pattern",
-    "parse_permutation",
-    "recompose",
     "reduce",
-    "rtl_maxima",
-    "standard_reduction",
-    "u_triangle",
-    "v_triangle",
-    "verify_labelling",
 ]

@@ -14,7 +14,6 @@ the run count of the last block is the tree label of ``label``.
 from __future__ import annotations
 
 import dataclasses
-import enum
 from typing import Sequence
 
 from .perms import Perm, avoids, check_permutation, parse_dashed_pattern
@@ -41,13 +40,6 @@ class Decomposition:
         if not self.blocks:
             raise ValueError("empty decomposition has no label")
         return len(self.blocks[-1].runs)
-
-
-class AvoiderType(enum.Enum):
-    """Relative order of the entries 2 and 1."""
-
-    TYPE_21 = "(2,1)"
-    TYPE_12 = "(1,2)"
 
 
 def decompose(word: Sequence[int], check: bool = True) -> Decomposition:
@@ -148,18 +140,3 @@ def check_avoidance_by_blocks(d: Decomposition) -> bool:
             suffix_max = max(suffix_max, max(run))
     return True
 
-
-def classify_type(word: Sequence[int]) -> AvoiderType:
-    """TYPE_21 when 2 precedes 1, TYPE_12 otherwise.
-
-    Equivalently: TYPE_21 exactly when the next-to-last block minimum is 2.
-
-    >>> classify_type((2, 1)).value
-    '(2,1)'
-    >>> classify_type((8, 4, 6, 1, 7, 5, 2, 3)).value
-    '(1,2)'
-    """
-    w = check_permutation(word)
-    if len(w) < 2:
-        raise ValueError(f"type needs both 1 and 2 present: {w}")
-    return AvoiderType.TYPE_21 if w.index(2) < w.index(1) else AvoiderType.TYPE_12

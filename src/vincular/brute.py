@@ -26,6 +26,9 @@ from .gentree import generate_level, pool_size
 from .perms import DashedPattern, Perm, avoids, label, occurs_ending_at
 
 ENUMERATION_CAP = 10
+# oracle_diff enumerates every level up to its length twice, by tree and by
+# brute force.
+ORACLE_CAP = 9
 
 STATISTICS = {"label": label}
 
@@ -149,7 +152,7 @@ class DiffReport:
 
 def oracle_diff(n_max: int, workers: int = 1, force: bool = False) -> DiffReport:
     """Compare the generating tree against brute enumeration, level by
-    level up to length n_max (capped at 9 without ``force``).
+    level up to length n_max (capped at ``ORACLE_CAP`` without ``force``).
 
     ``missing`` holds avoiders the tree never produced, ``extra`` holds
     tree output the brute filter rejects, ``duplicates`` holds tree output
@@ -157,8 +160,8 @@ def oracle_diff(n_max: int, workers: int = 1, force: bool = False) -> DiffReport
     """
     if n_max < 1:
         raise ValueError(f"need at least length 1: {n_max}")
-    if n_max > 9 and not force:
-        raise ValueError(f"oracle_diff past length 9 needs force=True, got {n_max}")
+    if n_max > ORACLE_CAP and not force:
+        raise ValueError(f"oracle_diff past length {ORACLE_CAP} needs force=True, got {n_max}")
     levels: list[tuple[int, int, int]] = []
     missing: list[Perm] = []
     extra: list[Perm] = []

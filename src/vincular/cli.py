@@ -23,7 +23,7 @@ from .perms import parse_dashed_pattern
 GENERATE_CAP = 11
 CENSUS_CAP = 9
 # Every verify suite but pde enumerates whole levels of the tree.
-VERIFY_CAP = 9
+VERIFY_CAP = brute.ORACLE_CAP
 
 
 def _positive_int(text: str) -> int:
@@ -89,6 +89,8 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
     elif args.which == "v":
         sys.stdout.write(counting.v_triangle(args.n).to_csv())
     else:
+        if args.n < 0:
+            raise ValueError(f"length must be nonnegative: {args.n}")
         if args.n > CENSUS_CAP and not args.force:
             raise ValueError(f"brute census past n={CENSUS_CAP} needs --force")
         lines = ["n,k,value"]

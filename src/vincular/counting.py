@@ -29,26 +29,25 @@ PATTERN_3142 = parse_dashed_pattern("31-4-2")
 
 @dataclasses.dataclass(frozen=True)
 class Triangle:
-    """Sparse integer triangle with entries sorted by (n, k)."""
+    """Integer triangle stored by rows: ``rows[n]`` maps k to the entry
+    (n, k) in increasing k.  Lookups read only the row asked for; entries
+    outside the triangle are 0."""
 
-    entries: tuple[tuple[int, int, int], ...]
-    n_max: int
+    rows: tuple[dict[int, int], ...]
 
     def value(self, n: int, k: int) -> int:
-        for en, ek, ev in self.entries:
-            if (en, ek) == (n, k):
-                return ev
-        return 0
+        return self.rows[n].get(k, 0) if 0 <= n < len(self.rows) else 0
 
     def row(self, n: int) -> dict[int, int]:
-        return {k: v for en, k, v in self.entries if en == n}
+        return dict(self.rows[n]) if 0 <= n < len(self.rows) else {}
 
     def row_sum(self, n: int) -> int:
-        return sum(v for en, _, v in self.entries if en == n)
+        return sum(self.rows[n].values()) if 0 <= n < len(self.rows) else 0
 
     def to_csv(self) -> str:
         lines = ["n,k,value"]
-        lines.extend(f"{n},{k},{v}" for n, k, v in self.entries)
+        for n, row in enumerate(self.rows):
+            lines.extend(f"{n},{k},{v}" for k, v in row.items())
         return "\n".join(lines) + "\n"
 
 
@@ -69,8 +68,7 @@ def u_triangle(n_max: int) -> Triangle:
             suffix[k] = suffix[k + 1] + prev.get(k, 0)
         row = {k: prev.get(k - 1, 0) + k * suffix[min(k, n)] for k in range(1, n + 1)}
         rows.append(row)
-    entries = [(n, k, v) for n, row in enumerate(rows) for k, v in sorted(row.items())]
-    return Triangle(tuple(entries), n_max)
+    return Triangle(tuple(rows))
 
 
 def v_triangle(n_max: int) -> Triangle:
@@ -94,8 +92,7 @@ def v_triangle(n_max: int) -> Triangle:
             suffix[k] = suffix[k + 1] + prev.get(k, 0)
         row = {k: prev.get(k - 1, 0) + (k + 1) * (suffix[k] if k <= n - 2 else 0) for k in range(n)}
         rows.append(row)
-    entries = [(n, k, v) for n, row in enumerate(rows) for k, v in sorted(row.items())]
-    return Triangle(tuple(entries), n_max)
+    return Triangle(tuple(rows))
 
 
 def count_avoiders(n: int) -> int:
@@ -122,25 +119,29 @@ def callan_3142_triangle(n_max: int) -> Triangle:
 
         a(n,k) = sum_{i<k} a(i) * sum_{j=k-i}^{n-1-i} a(n-1-i, j)
 
-    where a(m) is the m-th row sum and a(0) = 1.
+    where a(m) is the m-th row sum and a(0) = 1.  Each inner sum is a
+    suffix sum of row n-1-i, kept for every row, so the triangle takes
+    O(n_max^3) steps.  Row 0 is empty.
 
     >>> callan_3142_triangle(4).row(4)
     {1: 6, 2: 6, 3: 5, 4: 6}
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative: {n_max}")
-    table: dict[tuple[int, int], int] = {}
+    rows: list[dict[int, int]] = [{}]
     sums = [1]
+    # suffix[m][j] = sum of a(m, j') over j' >= j, for 1 <= j <= m + 1
+    suffix: list[list[int]] = [[0, 0]]
     for n in range(1, n_max + 1):
-        table[(n, n)] = sums[n - 1]
-        for k in range(1, n):
-            total = 0
-            for i in range(k):
-                total += sums[i] * sum(table.get((n - 1 - i, j), 0) for j in range(k - i, n - i))
-            table[(n, k)] = total
-        sums.append(sum(table[(n, k)] for k in range(1, n + 1)))
-    entries = [(n, k, table[(n, k)]) for n in range(1, n_max + 1) for k in range(1, n + 1)]
-    return Triangle(tuple(entries), n_max)
+        row = {k: sum(sums[i] * suffix[n - 1 - i][k - i] for i in range(k)) for k in range(1, n)}
+        row[n] = sums[n - 1]
+        suf = [0] * (n + 2)
+        for k in range(n, 0, -1):
+            suf[k] = suf[k + 1] + row[k]
+        rows.append(row)
+        suffix.append(suf)
+        sums.append(suf[1])
+    return Triangle(tuple(rows))
 
 
 def callan_3142(n_max: int) -> list[int]:
@@ -155,32 +156,6 @@ def callan_3142(n_max: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # univariate series and the continued fraction
-
-
-@dataclasses.dataclass(frozen=True)
-class UnivariateSeries:
-    """Truncated power series; coefficients[i] is the z^i coefficient."""
-
-    coefficients: tuple[int | Fraction, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
-    def to_csv(self) -> str:
-        lines = ["order,coefficient"]
-        lines.extend(f"{i},{c}" for i, c in enumerate(self.coefficients))
-        return "\n".join(lines) + "\n"
-
-
-def _ser_mul(a: list[Fraction], b: list[Fraction], n_max: int) -> list[Fraction]:
-    out = [Fraction(0)] * (n_max + 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j in range(min(len(b), n_max + 1 - i)):
-            out[i + j] += ai * b[j]
-    return out
 
 
 def _ser_inv(a: list[Fraction], n_max: int) -> list[Fraction]:
@@ -218,14 +193,15 @@ def _cfrac_coefficients(n_max: int, depth: int) -> list[Fraction]:
     return out
 
 
-def continued_fraction_series(n_max: int, depth: int | None = None) -> UnivariateSeries:
-    """Series of u(z) = 1 - z(U(0) - z) with U(m) = 1 - z^m - z/U(m+1).
+def continued_fraction_series(n_max: int, depth: int | None = None) -> tuple[int | Fraction, ...]:
+    """Coefficients of z^0..z^n_max in u(z) = 1 - z(U(0) - z) with
+    U(m) = 1 - z^m - z/U(m+1).
 
     The fraction is cut at ``depth`` levels (default n_max + 2) and the
     result is checked against depth + 1; a ValueError means the cut was
     too shallow for the requested order.
 
-    >>> continued_fraction_series(6).coefficients
+    >>> continued_fraction_series(6)
     (1, 0, 2, 2, 5, 15, 48)
     """
     if n_max < 0:
@@ -238,8 +214,7 @@ def continued_fraction_series(n_max: int, depth: int | None = None) -> Univariat
     again = _cfrac_coefficients(n_max, depth + 1)
     if got != again:
         raise ValueError(f"depth {depth} is too small to stabilize order {n_max}")
-    coeffs = tuple(int(c) if c.denominator == 1 else c for c in got)
-    return UnivariateSeries(coeffs)
+    return tuple(int(c) if c.denominator == 1 else c for c in got)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -267,7 +242,7 @@ def compare_cfrac_with_counts(n_max: int, depth: int | None = None) -> CfracComp
     >>> compare_cfrac_with_counts(4).first_mismatch
     1
     """
-    series = continued_fraction_series(n_max, depth).coefficients
+    series = continued_fraction_series(n_max, depth)
     counts = tuple(avoider_counts(n_max))
     first = next((i for i in range(n_max + 1) if series[i] != counts[i]), None)
     return CfracComparison(series, counts, first)
@@ -279,19 +254,12 @@ def compare_cfrac_with_counts(n_max: int, depth: int | None = None) -> CfracComp
 
 @dataclasses.dataclass(frozen=True)
 class BivariateSeries:
-    """Polynomial truncation of sum c(n,k) z^n u^k plus an explicit term
-    for the empty object, which carries no label."""
+    """Polynomial truncation of sum c(n,k) z^n u^k, as a map from (n, k)
+    to the nonzero c(n,k), plus an explicit term for the empty object,
+    which carries no label."""
 
-    coeffs: tuple[tuple[tuple[int, int], int], ...]
+    coeffs: dict[tuple[int, int], int]
     empty_term: int = 0
-
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return dict(self.coeffs)
-
-
-def _freeze(coeffs: dict[tuple[int, int], int], empty_term: int = 0) -> BivariateSeries:
-    items = tuple(sorted((nk, c) for nk, c in coeffs.items() if c != 0))
-    return BivariateSeries(items, empty_term)
 
 
 def label_series(n_max: int) -> BivariateSeries:
@@ -302,7 +270,7 @@ def label_series(n_max: int) -> BivariateSeries:
         for word in generate_level(n):
             key = (n, label(word))
             coeffs[key] = coeffs.get(key, 0) + 1
-    return _freeze(coeffs, empty_term=1)
+    return BivariateSeries(coeffs, empty_term=1)
 
 
 def lomega_apply(s: BivariateSeries, rule: SuccessionRule) -> BivariateSeries:
@@ -310,19 +278,19 @@ def lomega_apply(s: BivariateSeries, rule: SuccessionRule) -> BivariateSeries:
     over the productions e of k, and the empty-object term becomes
     u^axiom.  The z exponent is untouched.
 
-    >>> s = _freeze({(1, 0): 1}, empty_term=1)
+    >>> s = BivariateSeries({(1, 0): 1}, empty_term=1)
     >>> lomega_apply(s, omega_rule()).coeffs
-    (((0, 0), 1), ((1, 0), 1), ((1, 1), 1))
+    {(0, 0): 1, (1, 0): 1, (1, 1): 1}
     """
     out: dict[tuple[int, int], int] = {}
     if s.empty_term:
         key = (0, rule.axiom)
         out[key] = out.get(key, 0) + s.empty_term
-    for (n, k), c in s.coeffs:
+    for (n, k), c in s.coeffs.items():
         for e in rule.productions(k):
             key = (n, e)
             out[key] = out.get(key, 0) + c
-    return _freeze(out)
+    return BivariateSeries({key: c for key, c in out.items() if c})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -341,13 +309,16 @@ class ResidualReport:
 def check_functional_equation(n_max: int) -> ResidualReport:
     """Verify A(z,u) = A(0,u) + z * L(A(z,u)) on the census series
     through order n_max, with L the label transform of the tree rule.
+    n_max must be at least 1.
     """
+    if n_max < 1:
+        raise ValueError(f"need at least order 1: {n_max}")
     series = label_series(n_max)
     mapped = lomega_apply(series, omega_rule())
     residual = dict(series.coeffs)
     # subtract A(0,u): the u-free empty term cancels; census has no other
     # z^0 coefficients
-    for (n, k), c in mapped.coeffs:
+    for (n, k), c in mapped.coeffs.items():
         if n + 1 > n_max:
             continue
         key = (n + 1, k)
@@ -370,8 +341,8 @@ def _pde_residual(n_max: int, convention: str) -> dict[tuple[int, int], int]:
     census = v_triangle(n_max)
     shift = 1 if convention.startswith("label-plus-one") else 0
     f: dict[tuple[int, int], int] = {}
-    for n, k, value in census.entries:
-        if n >= 1:
+    for n in range(1, n_max + 1):
+        for k, value in census.rows[n].items():
             f[(n, k + shift)] = value
     if convention.endswith("with-empty"):
         f[(0, 0)] = 1
@@ -427,8 +398,10 @@ def check_pde(n_max: int) -> PdeReport:
     for the census series F under each t-exponent convention in
     ``PDE_CONVENTIONS``.  The first convention that makes the residual
     vanish through z^n_max is reported; with the label census one of them
-    does, namely t^(label+1) and no empty term.
+    does, namely t^(label+1) and no empty term.  n_max must be at least 1.
     """
+    if n_max < 1:
+        raise ValueError(f"need at least order 1: {n_max}")
     tried: list[tuple[str, tuple[tuple[int, int], int] | None]] = []
     winner: str | None = None
     for convention in PDE_CONVENTIONS:

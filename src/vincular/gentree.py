@@ -31,8 +31,9 @@ from .perms import Perm, label
 
 ROOT: Perm = (1,)
 
-# A dot file for n much past this is unreadable and slow to lay out.
-DOT_CAP = 8
+# Past this a dot file is unreadable and slow to lay out, and the json
+# tree of n = 9 is already 90 MB.
+TREE_CAP = 8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -243,13 +244,13 @@ def _json_node(word: Perm, n_max: int) -> dict:
 
 def export_tree(n_max: int, fmt: str = "dot", force: bool = False) -> str:
     """Serialize the tree down to length n_max as graphviz dot or as
-    nested json.  The dot form refuses n_max beyond 8 unless forced.
+    nested json.  Both forms refuse n_max beyond ``TREE_CAP`` unless forced.
     """
     if n_max < 1:
         raise ValueError(f"need at least the root level: {n_max}")
+    if n_max > TREE_CAP and not force:
+        raise ValueError(f"tree export past n={TREE_CAP} needs --force (force=True)")
     if fmt == "dot":
-        if n_max > DOT_CAP and not force:
-            raise ValueError(f"dot export past n={DOT_CAP} needs force=True")
         lines = ["digraph gentree {", "  node [shape=box];"]
         _dot_lines(ROOT, n_max, lines)
         lines.append("}")

@@ -143,22 +143,6 @@ def parse_dashed_pattern(text: str) -> DashedPattern:
     return DashedPattern(check_permutation(values), tuple(adjacency))
 
 
-def order_isomorphic(a: Sequence[int], b: Sequence[int]) -> bool:
-    """True when two sequences of distinct entries have the same relative
-    order.
-
-    >>> order_isomorphic((3, 1, 4), (5, 2, 7))
-    True
-    >>> order_isomorphic((1, 2), (2, 1))
-    False
-    """
-    if len(a) != len(b):
-        return False
-    ra = sorted(range(len(a)), key=a.__getitem__)
-    rb = sorted(range(len(b)), key=b.__getitem__)
-    return ra == rb
-
-
 def _search(pattern: DashedPattern, word: Sequence[int], chosen: list[int]) -> Iterator[tuple[int, ...]]:
     # Depth-first extension of a partial occurrence.  Candidates are tried
     # in increasing position order, so complete occurrences come out in
@@ -297,21 +281,6 @@ def rtl_maxima(word: Sequence[int]) -> list[int]:
             positions.append(i + 1)
             best = word[i]
     positions.reverse()
-    return positions
-
-
-def ltr_minima(word: Sequence[int]) -> list[int]:
-    """1-based positions of the left-to-right minima.
-
-    >>> ltr_minima((8, 4, 6, 1, 7, 5, 2, 3))
-    [1, 2, 4]
-    """
-    positions: list[int] = []
-    best = len(word) + 1
-    for i, v in enumerate(word):
-        if v < best:
-            positions.append(i + 1)
-            best = v
     return positions
 
 

@@ -4,11 +4,9 @@ import pytest
 
 from vincular.blocks import (
     PATTERN,
-    AvoiderType,
     Block,
     Decomposition,
     check_avoidance_by_blocks,
-    classify_type,
     decompose,
     recompose,
 )
@@ -94,19 +92,3 @@ def test_label_matches_decomposition(brute_levels):
         for w in level:
             assert decompose(w).label == label(w)
 
-
-def test_classify_type():
-    assert classify_type((2, 1)) is AvoiderType.TYPE_21
-    assert classify_type((1, 2)) is AvoiderType.TYPE_12
-    assert classify_type((8, 9, 14, 12, 5, 2, 4, 10, 11, 1, 3, 13, 6, 7)) is AvoiderType.TYPE_21
-    for n in range(2, 6):
-        for w in permutations(range(1, n + 1)):
-            expected = AvoiderType.TYPE_21 if w.index(2) < w.index(1) else AvoiderType.TYPE_12
-            assert classify_type(w) is expected
-
-
-def test_classify_type_needs_two_letters():
-    with pytest.raises(ValueError):
-        classify_type((1,))
-    with pytest.raises(ValueError):
-        classify_type(())

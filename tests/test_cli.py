@@ -123,6 +123,15 @@ def test_triangle_census_matches_v(capsys):
     assert census.splitlines()[1:] == v_rows
 
 
+def test_triangle_census_rejects_negative_n(capsys):
+    code, out, err = run(capsys, "triangle", "--which", "census", "--n", "-3")
+    assert code == 2
+    assert out == ""
+    assert "nonnegative" in err
+    # n = 0 still prints the bare header
+    assert run(capsys, "triangle", "--which", "census", "--n", "0") == (0, "n,k,value\n", "")
+
+
 def test_triangle_census_cap(capsys):
     code, _, err = run(capsys, "triangle", "--which", "census", "--n", "10")
     assert code == 2
@@ -145,7 +154,14 @@ def test_tree_json(capsys):
 def test_tree_dot_cap(capsys):
     code, _, err = run(capsys, "tree", "--n", "9")
     assert code == 2
-    assert "force" in err
+    assert "--force" in err
+
+
+def test_tree_json_cap(capsys):
+    code, out, err = run(capsys, "tree", "--format", "json", "--n", "9")
+    assert code == 2
+    assert out == ""
+    assert "--force" in err
 
 
 def test_verify_all(capsys):
@@ -169,6 +185,14 @@ def test_verify_labelling_needs_length_one(capsys, n):
     assert code == 2
     assert out == ""
     assert "at least length 1" in err
+
+
+@pytest.mark.parametrize("suite", ["series", "pde"])
+def test_verify_series_suites_need_order_one(capsys, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--n", "0")
+    assert code == 2
+    assert out == ""
+    assert "at least order 1" in err
 
 
 def test_verify_single_suite_json(capsys):

@@ -1,11 +1,12 @@
-from fractions import Fraction
+import hashlib
 
 import pytest
 
 from vincular.brute import brute_avoiders
+from vincular.cli import main
 from vincular.counting import (
     PATTERN_3142,
-    UnivariateSeries,
+    BivariateSeries,
     avoider_counts,
     callan_3142,
     callan_3142_triangle,
@@ -19,7 +20,6 @@ from vincular.counting import (
     u_triangle,
     v_triangle,
 )
-from vincular.counting import _freeze
 from vincular.gentree import lambda_rule, omega_rule
 
 COUNTS = [1, 1, 2, 6, 23, 105, 549, 3207, 20577, 143239]
@@ -99,19 +99,15 @@ def test_callan_diagonal_is_previous_sum():
 
 def test_continued_fraction_series():
     series = continued_fraction_series(9)
-    assert series.coefficients == (1, 0, 2, 2, 5, 15, 48, 161, 555, 1952)
-    assert series.order == 9
-    assert all(isinstance(c, int) for c in series.coefficients)
+    assert series == (1, 0, 2, 2, 5, 15, 48, 161, 555, 1952)
+    assert all(isinstance(c, int) for c in series)
 
 
 def test_continued_fraction_depth_too_small():
     with pytest.raises(ValueError):
         continued_fraction_series(8, depth=3)
     # explicit generous depth agrees with the default
-    assert (
-        continued_fraction_series(6, depth=20).coefficients
-        == continued_fraction_series(6).coefficients
-    )
+    assert continued_fraction_series(6, depth=20) == continued_fraction_series(6)
 
 
 def test_cfrac_comparison_reports_first_mismatch():
@@ -123,28 +119,23 @@ def test_cfrac_comparison_reports_first_mismatch():
     assert "order 1" in str(cmp)
 
 
-def test_univariate_series_csv():
-    s = UnivariateSeries((1, 0, 2))
-    assert s.to_csv() == "order,coefficient\n0,1\n1,0\n2,2\n"
-    assert UnivariateSeries((Fraction(1, 2),)).to_csv() == "order,coefficient\n0,1/2\n"
-
-
 def test_label_series_matches_v_triangle():
     series = label_series(6)
     v = v_triangle(6)
     assert series.empty_term == 1
-    assert series.as_dict() == {
-        (n, k): value for n, k, value in v.entries if n >= 1
-    }
+    assert series.coeffs == {(n, k): value for n in range(1, 7) for k, value in v.row(n).items()}
 
 
 def test_lomega_apply():
-    s = _freeze({(2, 1): 3}, empty_term=2)
+    s = BivariateSeries({(2, 1): 3}, empty_term=2)
     out = lomega_apply(s, omega_rule())
     assert out.empty_term == 0
-    assert out.as_dict() == {(0, 0): 2, (2, 0): 3, (2, 1): 6, (2, 2): 3}
-    shifted = lomega_apply(_freeze({(1, 1): 1}), lambda_rule())
-    assert shifted.as_dict() == {(1, 1): 1, (1, 2): 1}
+    assert out.coeffs == {(0, 0): 2, (2, 0): 3, (2, 1): 6, (2, 2): 3}
+    shifted = lomega_apply(BivariateSeries({(1, 1): 1}), lambda_rule())
+    assert shifted.coeffs == {(1, 1): 1, (1, 2): 1}
+    # terms that cancel are dropped
+    cancelled = lomega_apply(BivariateSeries({(1, 0): 1, (1, 1): -1}), omega_rule())
+    assert cancelled.coeffs == {(1, 1): -1, (1, 2): -1}
 
 
 def test_functional_equation_residual_vanishes():
@@ -164,3 +155,71 @@ def test_pde_residual_vanishes_under_shifted_exponent():
     assert tried["label"] is not None
     assert tried["label-plus-one"] is None
     assert "label-plus-one" in str(report)
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_series_checks_need_order_one(n_max):
+    with pytest.raises(ValueError):
+        check_functional_equation(n_max)
+    with pytest.raises(ValueError):
+        check_pde(n_max)
+
+
+# sha256 of the stdout of the large recurrence commands, the values that
+# perfbench/references.json holds for them
+LARGE_OUTPUTS = {
+    ("count", "--n", "400"): "1b1bfa5bb46708a89313dc1f918ef3631aa73404f95413ca281373671130caaa",
+    ("count", "--pattern", "31-4-2", "--n", "100"): (
+        "cf079b110829465f0ac51c9497abb565905d0b027d6e28eec1db3e5d306667ea"
+    ),
+    ("triangle", "--which", "v", "--n", "300"): (
+        "86ac79a887d6350ae033831a2c7ecc3a229ea901557cac098e1737c2d990787e"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(LARGE_OUTPUTS))
+def test_large_recurrence_outputs_are_unchanged(capsys, argv):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_OUTPUTS[argv]
+
+
+def _callan_by_triple_sum(n_max):
+    # the recursion summed term by term, each inner sum over a whole row
+    table, sums = {}, [1]
+    for n in range(1, n_max + 1):
+        table[(n, n)] = sums[n - 1]
+        for k in range(1, n):
+            table[(n, k)] = sum(
+                sums[i] * sum(table.get((n - 1 - i, j), 0) for j in range(k - i, n - i))
+                for i in range(k)
+            )
+        sums.append(sum(table[(n, k)] for k in range(1, n + 1)))
+    return table
+
+
+def test_callan_triangle_equals_triple_sum():
+    tri = callan_3142_triangle(25)
+    table = _callan_by_triple_sum(25)
+    assert {(n, k): tri.value(n, k) for (n, k) in table} == table
+    for n in range(1, 26):
+        assert tri.row(n) == {k: table[(n, k)] for k in range(1, n + 1)}
+
+
+def test_lookups_outside_the_triangle():
+    for tri in (u_triangle(4), v_triangle(4), callan_3142_triangle(4)):
+        for n in (-1, 5, 100):
+            assert tri.row(n) == {}
+            assert tri.row_sum(n) == 0
+            assert tri.value(n, 1) == 0
+        assert tri.value(4, -2) == 0
+        assert tri.value(4, 5) == 0
+    callan = callan_3142_triangle(4)
+    assert callan.row(0) == {}
+    assert callan.row_sum(0) == 0
+    assert callan.value(0, 0) == 0
+    # a returned row is a copy
+    u = u_triangle(4)
+    u.row(4)[1] = 0
+    assert u.value(4, 1) == 6

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from vincular import gentree
 from vincular.counting import avoider_counts
 from vincular.eco import expand
 from vincular.gentree import (
@@ -147,11 +148,22 @@ def test_export_tree_json():
 
 
 def test_export_tree_caps_and_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="--force"):
         export_tree(9, "dot")
+    with pytest.raises(ValueError, match="--force"):
+        export_tree(9, "json")
     with pytest.raises(ValueError):
         export_tree(2, "svg")
     with pytest.raises(ValueError):
         export_tree(0, "dot")
-    # json has no cap, force lifts the dot cap
+    # force changes nothing below the cap
     assert export_tree(4, "dot", force=True) == export_tree(4, "dot")
+
+
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_force_lifts_the_tree_cap(monkeypatch, fmt):
+    unforced = export_tree(4, fmt)
+    monkeypatch.setattr(gentree, "TREE_CAP", 3)
+    with pytest.raises(ValueError, match="--force"):
+        export_tree(4, fmt)
+    assert export_tree(4, fmt, force=True) == unforced

@@ -8,10 +8,8 @@ from vincular.perms import (
     DashedPattern,
     avoids,
     label,
-    ltr_minima,
     occurrences,
     occurs_ending_at,
-    order_isomorphic,
     parse_dashed_pattern,
     parse_permutation,
     rtl_maxima,
@@ -68,13 +66,6 @@ def test_parse_dashed_pattern_rejects_garbage():
         DashedPattern((1, 2), (True, True))
 
 
-def test_order_isomorphic():
-    assert order_isomorphic((), ())
-    assert order_isomorphic((2, 7, 1), (3, 9, 2))
-    assert not order_isomorphic((1, 2, 3), (1, 3, 2))
-    assert not order_isomorphic((1, 2), (1, 2, 3))
-
-
 def test_occurrences_against_definition():
     # every vincular occurrence is a classical one that satisfies the
     # adjacency constraints, checked exhaustively at small sizes
@@ -110,10 +101,7 @@ def test_extrema_positions():
     w = (8, 4, 6, 1, 7, 5, 2, 3)
     assert rtl_maxima(w) == [1, 5, 6, 8]
     assert [w[p - 1] for p in rtl_maxima(w)] == [8, 7, 5, 3]
-    assert ltr_minima(w) == [1, 2, 4]
-    assert [w[p - 1] for p in ltr_minima(w)] == [8, 4, 1]
     assert rtl_maxima(()) == []
-    assert ltr_minima((1,)) == [1]
 
 
 def test_label_examples():

@@ -1,0 +1,63 @@
+"""Property tests: random walks down the generating tree, the block
+criterion on random permutations, the parsers on arbitrary text, and the
+README's library examples."""
+
+import doctest
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vincular.blocks import PATTERN, check_avoidance_by_blocks, decompose, recompose
+from vincular.eco import expand, reduce
+from vincular.gentree import ROOT, omega_rule
+from vincular.perms import avoids, label, parse_dashed_pattern, parse_permutation
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+@settings(max_examples=25, database=None, deadline=None)
+@given(st.lists(st.integers(min_value=0), min_size=39, max_size=39))
+def test_random_walk_follows_rule_and_reduces_back(choices):
+    # each choice picks one child of the current node, from the root down
+    # to length 40; every node on the way is checked
+    rule = omega_rule()
+    parent = ROOT
+    for choice in choices:
+        children = [child for _, child in expand(parent)]
+        assert tuple(label(child) for child in children) == rule.productions(label(parent))
+        child = children[choice % len(children)]
+        assert reduce(child) == parent
+        parent = child
+
+
+@st.composite
+def permutations(draw, max_size=12):
+    n = draw(st.integers(1, max_size))
+    return tuple(draw(st.permutations(range(1, n + 1))))
+
+
+@settings(max_examples=300, database=None, deadline=None)
+@given(permutations())
+def test_blocks_decide_avoidance_and_recompose(w):
+    d = decompose(w, check=False)
+    assert check_avoidance_by_blocks(d) == avoids(PATTERN, w)
+    assert recompose(d) == w
+
+
+# the separators, ASCII digits, and two characters whose ``isdigit`` is
+# true: a superscript that ``int`` rejects and an Arabic-Indic digit it reads
+@settings(max_examples=300, database=None, deadline=None)
+@given(st.text(alphabet="0123456789-, \t\u00b2\u0663x", max_size=12))
+def test_parsers_raise_only_value_error(text):
+    for parse in (parse_dashed_pattern, parse_permutation):
+        try:
+            parse(text)
+        except ValueError:
+            pass
+
+
+def test_readme_library_examples():
+    failed, attempted = doctest.testfile(str(README), module_relative=False)
+    assert failed == 0
+    assert attempted >= 6
