@@ -17,12 +17,13 @@ calls cheap; pass ``force`` to go past the cap.
 from __future__ import annotations
 
 import dataclasses
+import os
 from concurrent.futures import ProcessPoolExecutor
 from itertools import permutations, repeat
 from typing import Iterator
 
 from .blocks import PATTERN
-from .gentree import generate_level, pool_size
+from .gentree import generate_level
 from .perms import DashedPattern, Perm, avoids, label, occurs_ending_at
 
 ENUMERATION_CAP = 10
@@ -82,6 +83,12 @@ def _avoider_chunk(pattern: DashedPattern, n: int, first: int) -> list[Perm]:
         free[m] = values[:i] + values[i + 1 :]
         tried[m] = -1
     return out
+
+
+def pool_size(workers: int, chunks: int) -> int:
+    """Processes worth starting for ``chunks`` pieces of work: at most
+    ``workers``, the number of pieces and the CPU count, and at least one."""
+    return max(1, min(workers, chunks, os.cpu_count() or 1))
 
 
 def brute_avoiders(
@@ -153,6 +160,7 @@ class DiffReport:
 def oracle_diff(n_max: int, workers: int = 1, force: bool = False) -> DiffReport:
     """Compare the generating tree against brute enumeration, level by
     level up to length n_max (capped at ``ORACLE_CAP`` without ``force``).
+    ``workers`` goes to ``brute_avoiders``; the tree is walked serially.
 
     ``missing`` holds avoiders the tree never produced, ``extra`` holds
     tree output the brute filter rejects, ``duplicates`` holds tree output
@@ -167,7 +175,7 @@ def oracle_diff(n_max: int, workers: int = 1, force: bool = False) -> DiffReport
     extra: list[Perm] = []
     duplicates: list[Perm] = []
     for n in range(1, n_max + 1):
-        tree = generate_level(n, workers=workers)
+        tree = generate_level(n)
         brute = brute_avoiders(PATTERN, n, workers=workers, force=force)
         levels.append((n, len(tree), len(brute)))
         tree_set = set(tree)

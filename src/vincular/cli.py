@@ -24,6 +24,18 @@ GENERATE_CAP = 11
 CENSUS_CAP = 9
 # Every verify suite but pde enumerates whole levels of the tree.
 VERIFY_CAP = brute.ORACLE_CAP
+# The recurrences keep whole triangles of big integers: the u triangle of
+# n = 1000 takes about 1.4 s and 250 MB, that of n = 2000 1.8 GB.  The other
+# caps sit at a few seconds of work each.
+RECURRENCE_CAP = 1000
+CALLAN_CAP = 300
+CFRAC_CAP = 60
+PDE_CAP = 400
+
+
+def _check_cap(n: int, cap: int, what: str, force: bool) -> None:
+    if n > cap and not force:
+        raise ValueError(f"{what} past n={cap} needs --force")
 
 
 def _positive_int(text: str) -> int:
@@ -39,22 +51,20 @@ def _cmd_count(args: argparse.Namespace) -> int:
     pattern = parse_dashed_pattern(args.pattern)
     if args.method == "recurrence":
         if pattern == PATTERN:
+            _check_cap(args.n, RECURRENCE_CAP, "recurrence counting", args.force)
             values = counting.avoider_counts(args.n)
         elif pattern == counting.PATTERN_3142:
+            _check_cap(args.n, CALLAN_CAP, "the 31-4-2 recursion", args.force)
             values = counting.callan_3142(args.n)
         else:
             raise ValueError(f"no recurrence known for {pattern}; use --method brute")
     elif args.method == "tree":
         if pattern != PATTERN:
             raise ValueError(f"the tree construction is specific to {PATTERN}")
-        if args.n > GENERATE_CAP and not args.force:
-            raise ValueError(f"tree counting past n={GENERATE_CAP} needs --force")
-        values = [1] + [
-            len(gentree.generate_level(n, workers=args.threads)) for n in range(1, args.n + 1)
-        ]
+        _check_cap(args.n, GENERATE_CAP, "tree counting", args.force)
+        values = [1] + [len(gentree.generate_level(n)) for n in range(1, args.n + 1)]
     elif args.method == "brute":
-        if args.n > brute.ENUMERATION_CAP and not args.force:
-            raise ValueError(f"brute counting past n={brute.ENUMERATION_CAP} needs --force")
+        _check_cap(args.n, brute.ENUMERATION_CAP, "brute counting", args.force)
         values = [
             len(brute.brute_avoiders(pattern, n, workers=args.threads, force=args.force))
             for n in range(args.n + 1)
@@ -62,6 +72,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     else:
         if pattern != PATTERN:
             raise ValueError(f"the continued fraction is specific to {PATTERN}")
+        _check_cap(args.n, CFRAC_CAP, "the continued fraction", args.force)
         comparison = counting.compare_cfrac_with_counts(args.n)
         if comparison.first_mismatch is not None:
             print(f"warning: {comparison}", file=sys.stderr)
@@ -72,32 +83,29 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    if args.n > GENERATE_CAP and not args.force:
-        raise ValueError(f"generating past n={GENERATE_CAP} needs --force")
-    level = gentree.generate_level(args.n, workers=args.threads)
+    _check_cap(args.n, GENERATE_CAP, "generating", args.force)
+    level = gentree.generate_level(args.n)
     if args.format == "lines":
-        for word in level:
-            print(" ".join(str(v) for v in word))
+        sys.stdout.writelines(" ".join(map(str, word)) + "\n" for word in level)
     else:
-        print(json.dumps([list(word) for word in level]))
+        print(json.dumps(level))
     return 0
 
 
 def _cmd_triangle(args: argparse.Namespace) -> int:
-    if args.which == "u":
-        sys.stdout.write(counting.u_triangle(args.n).to_csv())
-    elif args.which == "v":
-        sys.stdout.write(counting.v_triangle(args.n).to_csv())
-    else:
-        if args.n < 0:
-            raise ValueError(f"length must be nonnegative: {args.n}")
-        if args.n > CENSUS_CAP and not args.force:
-            raise ValueError(f"brute census past n={CENSUS_CAP} needs --force")
-        lines = ["n,k,value"]
-        for n in range(1, args.n + 1):
-            row = brute.brute_census(PATTERN, n, force=args.force)
-            lines.extend(f"{n},{k},{v}" for k, v in row.items())
-        sys.stdout.write("\n".join(lines) + "\n")
+    if args.which != "census":
+        _check_cap(args.n, RECURRENCE_CAP, f"triangle {args.which}", args.force)
+        build = counting.u_triangle if args.which == "u" else counting.v_triangle
+        sys.stdout.write(build(args.n).to_csv())
+        return 0
+    if args.n < 0:
+        raise ValueError(f"length must be nonnegative: {args.n}")
+    _check_cap(args.n, CENSUS_CAP, "brute census", args.force)
+    lines = ["n,k,value"]
+    for n in range(1, args.n + 1):
+        row = brute.brute_census(PATTERN, n, force=args.force)
+        lines.extend(f"{n},{k},{v}" for k, v in row.items())
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -111,7 +119,7 @@ def _verify_eco(n_max: int, workers: int, force: bool) -> tuple[bool, str]:
     if not diff.ok:
         return False, str(diff)
     for n in range(1, n_max):
-        for parent in gentree.generate_level(n, workers=workers):
+        for parent in gentree.generate_level(n):
             for _, child in expand(parent):
                 if reduce(child) != parent:
                     return False, f"reduce({child}) is not {parent}"
@@ -120,8 +128,7 @@ def _verify_eco(n_max: int, workers: int, force: bool) -> tuple[bool, str]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     wanted = ("eco", "labelling", "series", "pde") if args.suite == "all" else (args.suite,)
-    if args.n > VERIFY_CAP and not args.force and wanted != ("pde",):
-        raise ValueError(f"verifying past n={VERIFY_CAP} needs --force (pde has no cap)")
+    _check_cap(args.n, PDE_CAP if wanted == ("pde",) else VERIFY_CAP, "verifying", args.force)
     results: dict[str, dict[str, object]] = {}
     for suite in wanted:
         if suite == "eco":
@@ -167,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate = sub.add_parser("generate", help="print all avoiders of length n in tree order")
     generate.add_argument("--n", type=int, required=True)
     generate.add_argument("--format", choices=("lines", "json"), default="lines")
-    generate.add_argument("--threads", type=_positive_int, default=1)
     generate.add_argument("--force", action="store_true", help="lift the size caps")
     generate.set_defaults(func=_cmd_generate)
 

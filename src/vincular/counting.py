@@ -337,8 +337,8 @@ PDE_CONVENTIONS = (
 )
 
 
-def _pde_residual(n_max: int, convention: str) -> dict[tuple[int, int], int]:
-    census = v_triangle(n_max)
+def _pde_residual(census: Triangle, convention: str) -> dict[tuple[int, int], int]:
+    n_max = len(census.rows) - 1
     shift = 1 if convention.startswith("label-plus-one") else 0
     f: dict[tuple[int, int], int] = {}
     for n in range(1, n_max + 1):
@@ -402,10 +402,11 @@ def check_pde(n_max: int) -> PdeReport:
     """
     if n_max < 1:
         raise ValueError(f"need at least order 1: {n_max}")
+    census = v_triangle(n_max)
     tried: list[tuple[str, tuple[tuple[int, int], int] | None]] = []
     winner: str | None = None
     for convention in PDE_CONVENTIONS:
-        residual = _pde_residual(n_max, convention)
+        residual = _pde_residual(census, convention)
         first_bad = min(residual.items()) if residual else None
         tried.append((convention, first_bad))
         if first_bad is None and winner is None:

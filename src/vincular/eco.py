@@ -6,10 +6,14 @@ of length n+1.  Every length-(n+1) avoider arises from exactly one parent,
 and reduce inverts expand, so iterating expand from the single letter 1
 builds the whole class as a tree.
 
-All children renumber the parent entries upward by one; the new smallest
-entry is written as 0 before renumbering.  Children produced by ``MoveAll``
-and ``Partial`` place the new minimum after the old one (the entry 2 of the
-child precedes its 1), ``Insert`` children do the opposite.
+Children are built on codes rather than values: an entry v of a word of
+length n is stored as n + 1 - v, so the parent's entries keep their codes
+in every child, the old minimum keeps code n and the new minimum takes code
+n + 1.  Children produced by ``MoveAll`` and ``Partial`` place the new
+minimum after the old one (the entry 2 of the child precedes its 1),
+``Insert`` children do the opposite.  ``_walk`` applies the moves down the
+tree with an explicit stack; ``expand`` is one step of it and
+``gentree.generate_level`` the whole walk to a given length.
 """
 
 from __future__ import annotations
@@ -113,6 +117,55 @@ def reduce(word: Sequence[int]) -> Perm:
     return standard_reduction(_flatten(new_blocks))
 
 
+# A walk state (length, prefix, runs) is a tree node stored as its
+# decomposition: ``prefix`` is the word before the head of the last block and
+# ``runs`` are the increasing runs of that block, all as codes
+# length + 1 - value.  The head itself is the old minimum, code length.
+_State = tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]
+
+
+def _children(
+    length: int, prefix: tuple[int, ...], runs: tuple[tuple[int, ...], ...]
+) -> list[_State]:
+    """Child states in canonical order, built from the moves alone: every
+    child of an avoider is an avoider, so nothing is checked or decomposed
+    again."""
+    old, new = length, length + 1
+    k = len(runs)
+    out: list[_State] = []
+    for i in range(k):
+        # Partial(i, j): run j of the last i+1 runs joins the prefix
+        cut = k - i - 1
+        head = prefix + (old,)
+        for run in runs[:cut]:
+            head += run
+        tail = runs[cut:]
+        for j in range(i + 1):
+            out.append((new, head + tail[j], tail[:j] + tail[j + 1 :]))
+    out.append((new, prefix + (old,), runs))  # MoveAll
+    for p in range(k):  # Insert(p + 1): the old minimum heads run p + 1
+        out.append((new, prefix, runs[:p] + ((old,) + runs[p],) + runs[p + 1 :]))
+    out.append((new, prefix, runs + ((old,),)))  # Insert(k + 1)
+    return out
+
+
+def _walk(start: _State, n: int) -> list[Perm]:
+    """Descendants of length n of a walk state, in depth-first tree order."""
+    out: list[Perm] = []
+    stack = [start]
+    while stack:
+        length, prefix, runs = stack.pop()
+        if length < n:
+            stack.extend(reversed(_children(length, prefix, runs)))
+            continue
+        flat = prefix + (length,)
+        for run in runs:
+            flat += run
+        top = length + 1
+        out.append(tuple([top - code for code in flat]))
+    return out
+
+
 def expand(word: Sequence[int]) -> list[tuple[ChildSpec, Perm]]:
     """All tree children of an avoider, in canonical order.
 
@@ -129,32 +182,11 @@ def expand(word: Sequence[int]) -> list[tuple[ChildSpec, Perm]]:
     """
     w = check_permutation(word)
     d = decompose(w)
-    prefix = tuple(_flatten(d.blocks[:-1]))
-    runs = d.blocks[-1].runs
+    top = len(w) + 1
+    prefix = tuple(top - v for v in _flatten(d.blocks[:-1]))
+    runs = tuple(tuple(top - v for v in run) for run in d.blocks[-1].runs)
     k = len(runs)
-
-    def cat(group: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
-        return tuple(v for run in group for v in run)
-
-    def build(entries: tuple[int, ...]) -> Perm:
-        # entries hold 0..n exactly once, with 0 marking the new minimum
-        return tuple(v + 1 for v in entries)
-
-    children: list[tuple[ChildSpec, Perm]] = []
-    for i in range(k):
-        tail = runs[k - i - 1 :]
-        for j in range(1, i + 2):
-            moved = tail[j - 1]
-            rest = tail[: j - 1] + tail[j:]
-            children.append(
-                (
-                    Partial(i, j),
-                    build(prefix + (1,) + cat(runs[: k - i - 1]) + moved + (0,) + cat(rest)),
-                )
-            )
-    children.append((MoveAll(), build(prefix + (1, 0) + cat(runs))))
-    for p in range(1, k + 2):
-        children.append(
-            (Insert(p), build(prefix + (0,) + cat(runs[: p - 1]) + (1,) + cat(runs[p - 1 :])))
-        )
-    return children
+    specs: list[ChildSpec] = [Partial(i, j) for i in range(k) for j in range(1, i + 2)]
+    specs.append(MoveAll())
+    specs.extend(Insert(p) for p in range(1, k + 2))
+    return list(zip(specs, _walk((len(w), prefix, runs), top), strict=True))

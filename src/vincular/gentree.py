@@ -9,24 +9,22 @@ and a shifted variant with axiom (1) describes the same tree with every
 label moved up by one.  Level n of the tree (root at level 1) holds the
 avoiders of length n exactly once.
 
-``generate_level`` walks the tree with an explicit stack of nodes kept as
-their last block's runs and the word before it, and builds each child from
-its move without re-checking avoidance or decomposing again.  The public
-``expand`` and ``reduce`` still validate their input; ``verify_labelling``
-and the ``eco`` verify suite use them, and the tests pin the walk to
-``expand`` applied level by level.
+``generate_level`` is ``eco._walk`` from the root: an explicit stack of
+nodes kept as their last block's runs and the word before it, each child
+built from its move without re-checking avoidance or decomposing again.
+``eco.expand`` is one step of the same walk behind validation of its
+input; ``verify_labelling`` and the dot and json exports use it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
+# Unused here; perfbench/tracing.py patches this binding and fails without it.
 from concurrent.futures import ProcessPoolExecutor
-from itertools import repeat
 from typing import Callable
 
-from .eco import expand
+from .eco import _walk, expand
 from .perms import Perm, label
 
 ROOT: Perm = (1,)
@@ -100,85 +98,15 @@ def level_label_counts(rule: SuccessionRule, n: int) -> dict[int, int]:
     return dict(sorted(counts.items()))
 
 
-# A walk state (length, prefix, runs) is a tree node stored as its
-# decomposition: ``prefix`` is the word before the head of the last block and
-# ``runs`` are the increasing runs of that block.  Entries are stored as codes
-# length + 1 - value, so a parent's entries keep their codes in every child:
-# the new minimum takes code length + 1 and the old one keeps code length.
-_State = tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]
-
-_ROOT_STATE: _State = (1, (), ())
-
-
-def _children(
-    length: int, prefix: tuple[int, ...], runs: tuple[tuple[int, ...], ...]
-) -> list[_State]:
-    """Child states in the canonical order of ``eco.expand``, built from the
-    moves alone: every child of an avoider is an avoider, so nothing is
-    checked or decomposed again."""
-    old, new = length, length + 1
-    k = len(runs)
-    out: list[_State] = []
-    for i in range(k):
-        # Partial(i, j): run j of the last i+1 runs joins the prefix
-        cut = k - i - 1
-        head = prefix + (old,)
-        for run in runs[:cut]:
-            head += run
-        tail = runs[cut:]
-        for j in range(i + 1):
-            out.append((new, head + tail[j], tail[:j] + tail[j + 1 :]))
-    out.append((new, prefix + (old,), runs))  # MoveAll
-    for p in range(k):  # Insert(p + 1): the old minimum heads run p + 1
-        out.append((new, prefix, runs[:p] + ((old,) + runs[p],) + runs[p + 1 :]))
-    out.append((new, prefix, runs + ((old,),)))  # Insert(k + 1)
-    return out
-
-
-def _walk(start: _State, n: int) -> list[Perm]:
-    """Descendants of length n of a walk state, in depth-first tree order."""
-    out: list[Perm] = []
-    stack = [start]
-    while stack:
-        length, prefix, runs = stack.pop()
-        if length < n:
-            stack.extend(reversed(_children(length, prefix, runs)))
-            continue
-        flat = prefix + (length,)
-        for run in runs:
-            flat += run
-        top = length + 1
-        out.append(tuple([top - code for code in flat]))
-    return out
-
-
-def pool_size(workers: int, chunks: int) -> int:
-    """Processes worth starting for ``chunks`` pieces of work: at most
-    ``workers``, the number of pieces and the CPU count, and at least one."""
-    return max(1, min(workers, chunks, os.cpu_count() or 1))
-
-
-def generate_level(n: int, workers: int = 1) -> list[Perm]:
+def generate_level(n: int) -> list[Perm]:
     """All avoiders of length n, in depth-first tree order.
-
-    The order is canonical: it does not depend on ``workers``.
 
     >>> generate_level(3)
     [(3, 2, 1), (3, 1, 2), (2, 3, 1), (2, 1, 3), (1, 2, 3), (1, 3, 2)]
     """
     if n < 1:
         raise ValueError(f"level must be positive: {n}")
-    seed_len = 4
-    if workers <= 1 or n <= seed_len:
-        return _walk(_ROOT_STATE, n)
-    seeds = [_ROOT_STATE]
-    for _ in range(seed_len - 1):
-        seeds = [child for state in seeds for child in _children(*state)]
-    out: list[Perm] = []
-    with ProcessPoolExecutor(max_workers=pool_size(workers, len(seeds))) as pool:
-        for chunk in pool.map(_walk, seeds, repeat(n)):
-            out.extend(chunk)
-    return out
+    return _walk((1, (), ()), n)  # the walk state of ROOT
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import os
 from itertools import permutations, product
 
 import pytest
@@ -10,6 +11,7 @@ from vincular.brute import (
     brute_avoiders,
     brute_census,
     oracle_diff,
+    pool_size,
 )
 from vincular.perms import DashedPattern, parse_dashed_pattern
 
@@ -78,6 +80,15 @@ def test_search_equals_filter_longer_words(text, n):
 def test_search_pool_equals_serial():
     pattern = parse_dashed_pattern("31-4-2")
     assert brute_avoiders(pattern, 7, workers=2) == brute_avoiders(pattern, 7)
+
+
+def test_pool_size_is_clamped():
+    cpus = os.cpu_count() or 1
+    assert pool_size(10**9, 23) == min(23, cpus)
+    assert pool_size(10**9, 10**9) == cpus
+    assert pool_size(2, 10**9) == min(2, cpus)
+    assert pool_size(1, 23) == 1
+    assert pool_size(0, 23) == 1
 
 
 def test_brute_avoiders_cap():

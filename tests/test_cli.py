@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from vincular import brute
+from vincular import brute, cli, counting
 from vincular.cli import main
 
 
@@ -58,13 +58,13 @@ def test_generate_lines(capsys):
     assert out.splitlines() == ["3 2 1", "3 1 2", "2 3 1", "2 1 3", "1 2 3", "1 3 2"]
 
 
-def test_generate_json_and_threads(capsys):
-    code, out, _ = run(capsys, "generate", "--n", "5", "--format", "json", "--threads", "2")
+def test_generate_json(capsys):
+    code, out, _ = run(capsys, "generate", "--n", "5", "--format", "json")
     assert code == 0
     level = json.loads(out)
     assert len(level) == 105
-    _, solo, _ = run(capsys, "generate", "--n", "5", "--format", "json")
-    assert json.loads(solo) == level
+    _, lines, _ = run(capsys, "generate", "--n", "5")
+    assert level == [[int(v) for v in line.split()] for line in lines.splitlines()]
 
 
 def test_generate_n9_output_is_unchanged(capsys):
@@ -75,10 +75,18 @@ def test_generate_n9_output_is_unchanged(capsys):
     )
 
 
+def test_generate_n9_json_output_is_unchanged(capsys):
+    code, out, _ = run(capsys, "generate", "--n", "9", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "78bceb0adafbf8adbf51fa8b2bce9795208a79fb61522169242ab0ea0f73dd62"
+    )
+
+
 @pytest.mark.parametrize("threads", ["0", "-5"])
 def test_threads_below_one_rejected_at_parse_time(capsys, threads):
     with pytest.raises(SystemExit) as exc:
-        main(["generate", "--n", "9", "--threads", threads])
+        main(["count", "--method", "brute", "--n", "9", "--threads", threads])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
 
@@ -101,6 +109,35 @@ def test_count_brute_cap_before_any_level(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "--force" in err
+
+
+@pytest.mark.parametrize(
+    "worker, argv",
+    [
+        ("avoider_counts", ["count", "--n", str(cli.RECURRENCE_CAP + 1)]),
+        ("callan_3142", ["count", "--pattern", "31-4-2", "--n", str(cli.CALLAN_CAP + 1)]),
+        ("compare_cfrac_with_counts", ["count", "--method", "cfrac", "--n", str(cli.CFRAC_CAP + 1)]),
+        ("u_triangle", ["triangle", "--which", "u", "--n", str(cli.RECURRENCE_CAP + 1)]),
+        ("v_triangle", ["triangle", "--which", "v", "--n", str(cli.RECURRENCE_CAP + 1)]),
+        ("check_pde", ["verify", "--suite", "pde", "--n", str(cli.PDE_CAP + 1)]),
+    ],
+)
+def test_counting_caps_before_any_work(capsys, monkeypatch, worker, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{worker} ran although n is past the cap")
+
+    monkeypatch.setattr(counting, worker, refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--force" in err
+
+
+def test_force_lifts_the_counting_caps(capsys, monkeypatch):
+    _, unforced, _ = run(capsys, "count", "--n", "5")
+    monkeypatch.setattr(cli, "RECURRENCE_CAP", 3)
+    assert run(capsys, "count", "--n", "5")[0] == 2
+    assert run(capsys, "count", "--n", "5", "--force") == (0, unforced, "")
 
 
 def test_generate_cap(capsys):

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from vincular import counting
 from vincular.brute import brute_avoiders
 from vincular.cli import main
 from vincular.counting import (
@@ -155,6 +156,18 @@ def test_pde_residual_vanishes_under_shifted_exponent():
     assert tried["label"] is not None
     assert tried["label-plus-one"] is None
     assert "label-plus-one" in str(report)
+
+
+def test_check_pde_builds_the_census_once(monkeypatch):
+    calls = []
+
+    def counted(n_max):
+        calls.append(n_max)
+        return v_triangle(n_max)
+
+    monkeypatch.setattr(counting, "v_triangle", counted)
+    assert check_pde(7).ok
+    assert calls == [7]
 
 
 @pytest.mark.parametrize("n_max", [0, -1])

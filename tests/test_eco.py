@@ -40,6 +40,13 @@ def test_expand_named_children_of_worked_example():
     assert len(children) == 16
 
 
+@pytest.mark.parametrize("word", [(1, 3, 2, 4), (1, 1), (2, 3), ()])
+def test_expand_rejects_bad_input(word):
+    # a non-avoider, two non-permutations and the empty word
+    with pytest.raises(ValueError):
+        expand(word)
+
+
 def test_expand_base_case():
     assert expand((1,)) == [(MoveAll(), (2, 1)), (Insert(1), (1, 2))]
 

@@ -1,9 +1,9 @@
 import json
-import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from vincular import gentree
+from vincular import brute, gentree
 from vincular.counting import avoider_counts
 from vincular.eco import expand
 from vincular.gentree import (
@@ -12,7 +12,6 @@ from vincular.gentree import (
     lambda_rule,
     level_label_counts,
     omega_rule,
-    pool_size,
     verify_labelling,
 )
 from vincular.perms import label
@@ -80,25 +79,18 @@ def test_generate_level_counts():
         generate_level(0)
 
 
-def test_generate_level_workers_do_not_change_output():
-    assert generate_level(6, workers=2) == generate_level(6)
-    assert generate_level(3, workers=4) == LEVEL_3
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_generate_level_is_validating_expand_level_by_level(workers):
+def test_generate_level_is_validating_expand_level_by_level():
     for n in range(2, 9):
         reference = [child for parent in generate_level(n - 1) for _, child in expand(parent)]
-        assert generate_level(n, workers=workers) == reference
+        assert generate_level(n) == reference
 
 
-def test_pool_size_is_clamped():
-    cpus = os.cpu_count() or 1
-    assert pool_size(10**9, 23) == min(23, cpus)
-    assert pool_size(10**9, 10**9) == cpus
-    assert pool_size(2, 10**9) == min(2, cpus)
-    assert pool_size(1, 23) == 1
-    assert pool_size(0, 23) == 1
+def test_pool_modules_bind_process_pool_executor():
+    # perfbench/tracing.py patches ProcessPoolExecutor in both modules to
+    # time their pools, and its traced runs fail if either binding is gone,
+    # although gentree itself no longer starts a pool.
+    assert gentree.ProcessPoolExecutor is ProcessPoolExecutor
+    assert brute.ProcessPoolExecutor is ProcessPoolExecutor
 
 
 def test_label_census_matches_rule(brute_levels):
