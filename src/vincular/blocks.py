@@ -6,9 +6,10 @@ so the permutation reads
 
     m_1 r_11 ... r_1k_1  m_2 r_21 ... r_2k_2  ...  m_h r_h1 ... r_hk_h
 
-with every run entry larger than its block minimum.  Avoidance is a cap on
-how large entries after a run may be (``check_avoidance_by_blocks``), and
-the run count of the last block is the tree label of ``label``.
+with every run entry larger than its block minimum.  ``decompose`` returns
+these blocks as a plain tuple of ``Block``s.  Avoidance is a cap on how
+large entries after a run may be (``check_avoidance_by_blocks``), and the
+run count of the last block is the tree label of ``label``.
 """
 
 from __future__ import annotations
@@ -29,29 +30,15 @@ class Block:
     runs: tuple[tuple[int, ...], ...]
 
 
-@dataclasses.dataclass(frozen=True)
-class Decomposition:
-    blocks: tuple[Block, ...]
-
-    @property
-    def label(self) -> int:
-        """Run count of the last block; equals ``perms.label`` of the
-        recomposed permutation."""
-        if not self.blocks:
-            raise ValueError("empty decomposition has no label")
-        return len(self.blocks[-1].runs)
-
-
-def decompose(word: Sequence[int], check: bool = True) -> Decomposition:
+def decompose(word: Sequence[int], check: bool = True) -> tuple[Block, ...]:
     """Split an avoider into blocks headed by its left-to-right minima.
 
-    With ``check`` set, raises ValueError when ``word`` contains 1-32-4.
+    Raises ValueError when ``word`` is not a nonempty permutation and, with
+    ``check`` set, when it contains 1-32-4.
 
-    >>> d = decompose((8, 4, 6, 1, 7, 5, 2, 3))
-    >>> [(b.minimum, b.runs) for b in d.blocks]
+    >>> blocks = decompose((8, 4, 6, 1, 7, 5, 2, 3))
+    >>> [(b.minimum, b.runs) for b in blocks]
     [(8, ()), (4, ((6,),)), (1, ((7,), (5,), (2, 3)))]
-    >>> d.label
-    3
     """
     w = check_permutation(word)
     if len(w) == 0:
@@ -77,11 +64,11 @@ def decompose(word: Sequence[int], check: bool = True) -> Decomposition:
     if run:
         runs.append(tuple(run))
     blocks.append(Block(minimum, tuple(runs)))
-    return Decomposition(tuple(blocks))
+    return tuple(blocks)
 
 
-def recompose(d: Decomposition) -> Perm:
-    """Inverse of ``decompose``.  Raises ValueError when ``d`` is not a
+def recompose(blocks: tuple[Block, ...]) -> Perm:
+    """Inverse of ``decompose``.  Raises ValueError when ``blocks`` is not a
     well-formed decomposition of some permutation.
 
     >>> recompose(decompose((2, 3, 1, 5, 4, 6)))
@@ -91,13 +78,13 @@ def recompose(d: Decomposition) -> Perm:
     >>> recompose(decompose((3, 5, 1, 2, 4)))
     (3, 5, 1, 2, 4)
     """
-    if not d.blocks:
+    if not blocks:
         raise ValueError("empty decomposition")
-    if d.blocks[-1].minimum != 1:
+    if blocks[-1].minimum != 1:
         raise ValueError("last block minimum must be 1")
     flat: list[int] = []
-    for bi, block in enumerate(d.blocks):
-        if bi > 0 and block.minimum >= d.blocks[bi - 1].minimum:
+    for bi, block in enumerate(blocks):
+        if bi > 0 and block.minimum >= blocks[bi - 1].minimum:
             raise ValueError("block minima must strictly decrease")
         flat.append(block.minimum)
         for ri, run in enumerate(block.runs):
@@ -113,7 +100,7 @@ def recompose(d: Decomposition) -> Perm:
     return check_permutation(flat)
 
 
-def check_avoidance_by_blocks(d: Decomposition) -> bool:
+def check_avoidance_by_blocks(blocks: tuple[Block, ...]) -> bool:
     """Decide avoidance of 1-32-4 from the block shape alone.
 
     An occurrence needs a descent inside some block, at the boundary of
@@ -124,15 +111,15 @@ def check_avoidance_by_blocks(d: Decomposition) -> bool:
 
     >>> check_avoidance_by_blocks(decompose((8, 4, 6, 1, 7, 5, 2, 3)))
     True
-    >>> bad = Decomposition((Block(3, ((5,), (4,))), Block(2, ()), Block(1, ((6,),))))
+    >>> bad = (Block(3, ((5,), (4,))), Block(2, ()), Block(1, ((6,),)))
     >>> recompose(bad)
     (3, 5, 4, 2, 1, 6)
     >>> check_avoidance_by_blocks(bad)
     False
     """
-    recompose(d)
+    recompose(blocks)
     suffix_max = 0
-    for block in reversed(d.blocks):
+    for block in reversed(blocks):
         for ri in range(len(block.runs) - 1, -1, -1):
             run = block.runs[ri]
             if ri < len(block.runs) - 1 and suffix_max > max(run):

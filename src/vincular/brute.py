@@ -20,7 +20,6 @@ import dataclasses
 import os
 from concurrent.futures import ProcessPoolExecutor
 from itertools import permutations, repeat
-from typing import Iterator
 
 from .blocks import PATTERN
 from .gentree import generate_level
@@ -34,22 +33,9 @@ ORACLE_CAP = 9
 STATISTICS = {"label": label}
 
 
-def all_permutations(n: int, force: bool = False) -> Iterator[Perm]:
-    """Permutations of 1..n in lexicographic order.
-
-    >>> list(all_permutations(2))
-    [(1, 2), (2, 1)]
-    """
-    if n < 0:
-        raise ValueError(f"length must be nonnegative: {n}")
-    if n > ENUMERATION_CAP and not force:
-        raise ValueError(f"enumerating length {n} needs force=True (cap {ENUMERATION_CAP})")
-    return permutations(range(1, n + 1))
-
-
 def _filter_avoiders(pattern: DashedPattern, n: int) -> list[Perm]:
     # The reference for ``brute_avoiders``: test every word in full.
-    return [w for w in all_permutations(n, force=True) if avoids(pattern, w)]
+    return [w for w in permutations(range(1, n + 1)) if avoids(pattern, w)]
 
 
 def _avoider_chunk(pattern: DashedPattern, n: int, first: int) -> list[Perm]:

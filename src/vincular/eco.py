@@ -6,14 +6,18 @@ of length n+1.  Every length-(n+1) avoider arises from exactly one parent,
 and reduce inverts expand, so iterating expand from the single letter 1
 builds the whole class as a tree.
 
-Children are built on codes rather than values: an entry v of a word of
-length n is stored as n + 1 - v, so the parent's entries keep their codes
-in every child, the old minimum keeps code n and the new minimum takes code
-n + 1.  Children produced by ``MoveAll`` and ``Partial`` place the new
-minimum after the old one (the entry 2 of the child precedes its 1),
-``Insert`` children do the opposite.  ``_walk`` applies the moves down the
-tree with an explicit stack; ``expand`` is one step of it and
-``gentree.generate_level`` the whole walk to a given length.
+``reduce`` and ``expand`` validate their input once, through
+``blocks.decompose``, and read what they need straight off the word and its
+blocks.
+
+Only the walk and ``expand`` use codes: an entry v of a word of length n is
+stored as n + 1 - v, so the parent's entries keep their codes in every
+child, the old minimum keeps code n and the new minimum takes code n + 1.
+Children produced by ``MoveAll`` and ``Partial`` place the new minimum after
+the old one (the entry 2 of the child precedes its 1), ``Insert`` children
+do the opposite.  ``_walk`` applies the moves down the tree with an explicit
+stack; ``expand`` is one step of it and ``gentree.generate_level`` the whole
+walk to a given length.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
-from .blocks import Block, decompose
-from .perms import Perm, check_permutation, standard_reduction
+from .blocks import decompose
+from .perms import Perm, standard_reduction
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,39 +55,6 @@ class Insert:
 ChildSpec = MoveAll | Partial | Insert
 
 
-def child_label(spec: ChildSpec, k: int) -> int:
-    """Tree label of the child ``spec`` produces from a parent labelled k.
-
-    >>> child_label(Partial(2, 1), 4)
-    2
-    >>> child_label(Insert(5), 4)
-    5
-    """
-    if k < 0:
-        raise ValueError(f"parent label must be nonnegative: {k}")
-    match spec:
-        case Partial(i=i, j=j):
-            if not (0 <= i <= k - 1 and 1 <= j <= i + 1):
-                raise ValueError(f"{spec} is not a child move for label {k}")
-            return i
-        case MoveAll():
-            return k
-        case Insert(p=p):
-            if not 1 <= p <= k + 1:
-                raise ValueError(f"{spec} is not a child move for label {k}")
-            return k if p <= k else k + 1
-    raise ValueError(f"unknown child spec: {spec!r}")
-
-
-def _flatten(blocks: Sequence[Block]) -> list[int]:
-    flat: list[int] = []
-    for block in blocks:
-        flat.append(block.minimum)
-        for run in block.runs:
-            flat.extend(run)
-    return flat
-
-
 def reduce(word: Sequence[int]) -> Perm:
     """Parent of an avoider in the generating tree.
 
@@ -97,24 +68,21 @@ def reduce(word: Sequence[int]) -> Perm:
     >>> reduce((5, 8, 3, 6, 7, 2, 9, 4, 1))
     (4, 7, 2, 5, 6, 1, 8, 3)
     """
-    w = check_permutation(word)
+    w = tuple(word)
     if len(w) < 2:
         raise ValueError(f"nothing to reduce: {w}")
-    d = decompose(w)
-    blocks = d.blocks
-    if len(blocks) >= 2 and blocks[-2].minimum == 2:
-        merged = sorted(blocks[-2].runs + blocks[-1].runs, key=lambda run: run[-1], reverse=True)
-        new_blocks = blocks[:-2] + (Block(2, tuple(merged)),)
+    blocks = decompose(w)
+    one, two = w.index(1), w.index(2)
+    if two < one:
+        head = w[:two]
+        runs = sorted(blocks[-2].runs + blocks[-1].runs, key=lambda run: run[-1], reverse=True)
     else:
-        kept: list[tuple[int, ...]] = []
-        for run in blocks[-1].runs:
-            if run[0] == 2:
-                if len(run) > 1:
-                    kept.append(run[1:])
-            else:
-                kept.append(run)
-        new_blocks = blocks[:-1] + (Block(2, tuple(kept)),)
-    return standard_reduction(_flatten(new_blocks))
+        head = w[:one]
+        runs = [run[1:] if run[0] == 2 else run for run in blocks[-1].runs]
+    flat = head + (2,)
+    for run in runs:
+        flat += run
+    return standard_reduction(flat)
 
 
 # A walk state (length, prefix, runs) is a tree node stored as its
@@ -180,11 +148,11 @@ def expand(word: Sequence[int]) -> list[tuple[ChildSpec, Perm]]:
     Insert(p=1) (1, 2, 3)
     Insert(p=2) (1, 3, 2)
     """
-    w = check_permutation(word)
-    d = decompose(w)
+    w = tuple(word)
+    blocks = decompose(w)
     top = len(w) + 1
-    prefix = tuple(top - v for v in _flatten(d.blocks[:-1]))
-    runs = tuple(tuple(top - v for v in run) for run in d.blocks[-1].runs)
+    prefix = tuple(top - v for v in w[: w.index(1)])
+    runs = tuple(tuple(top - v for v in run) for run in blocks[-1].runs)
     k = len(runs)
     specs: list[ChildSpec] = [Partial(i, j) for i in range(k) for j in range(1, i + 2)]
     specs.append(MoveAll())

@@ -35,24 +35,6 @@ def check_permutation(word: Sequence[int]) -> Perm:
     return w
 
 
-def parse_permutation(text: str) -> Perm:
-    """Parse a comma or whitespace separated permutation.
-
-    >>> parse_permutation("8,4,6,1,7,5,2,3")
-    (8, 4, 6, 1, 7, 5, 2, 3)
-    >>> parse_permutation("2 1")
-    (2, 1)
-    >>> parse_permutation("")
-    ()
-    """
-    tokens = text.replace(",", " ").split()
-    try:
-        values = [int(tok) for tok in tokens]
-    except ValueError:
-        raise ValueError(f"not an integer sequence: {text!r}") from None
-    return check_permutation(values)
-
-
 @dataclasses.dataclass(frozen=True)
 class DashedPattern:
     """A dashed (vincular) pattern.

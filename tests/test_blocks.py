@@ -5,7 +5,6 @@ import pytest
 from vincular.blocks import (
     PATTERN,
     Block,
-    Decomposition,
     check_avoidance_by_blocks,
     decompose,
     recompose,
@@ -14,13 +13,12 @@ from vincular.perms import avoids, label
 
 
 def test_decompose_fourteen_letter_example():
-    d = decompose((8, 9, 14, 12, 5, 2, 4, 10, 11, 1, 3, 13, 6, 7))
-    assert [b.minimum for b in d.blocks] == [8, 5, 2, 1]
-    assert d.blocks[0].runs == ((9, 14), (12,))
-    assert d.blocks[1].runs == ()
-    assert d.blocks[2].runs == ((4, 10, 11),)
-    assert d.blocks[3].runs == ((3, 13), (6, 7))
-    assert d.label == 2
+    blocks = decompose((8, 9, 14, 12, 5, 2, 4, 10, 11, 1, 3, 13, 6, 7))
+    assert [b.minimum for b in blocks] == [8, 5, 2, 1]
+    assert blocks[0].runs == ((9, 14), (12,))
+    assert blocks[1].runs == ()
+    assert blocks[2].runs == ((4, 10, 11),)
+    assert blocks[3].runs == ((3, 13), (6, 7))
 
 
 def test_decompose_rejects_containing_permutation():
@@ -53,21 +51,21 @@ def test_recompose_round_trip_without_avoidance():
 
 def test_recompose_rejects_malformed():
     with pytest.raises(ValueError):
-        recompose(Decomposition(()))
+        recompose(())
     with pytest.raises(ValueError):
-        recompose(Decomposition((Block(2, ()),)))  # last minimum not 1
+        recompose((Block(2, ()),))  # last minimum not 1
     with pytest.raises(ValueError):
-        recompose(Decomposition((Block(1, ()), Block(2, ()))))  # minima increase
+        recompose((Block(1, ()), Block(2, ())))  # minima increase
     with pytest.raises(ValueError):
-        recompose(Decomposition((Block(1, ((),)),)))  # empty run
+        recompose((Block(1, ((),)),))  # empty run
     with pytest.raises(ValueError):
-        recompose(Decomposition((Block(1, ((3, 2),)),)))  # run not increasing
+        recompose((Block(1, ((3, 2),)),))  # run not increasing
     with pytest.raises(ValueError):
-        recompose(Decomposition((Block(2, ((1,),)), Block(1, ()))))  # run below minimum
+        recompose((Block(2, ((1,),)), Block(1, ())))  # run below minimum
     with pytest.raises(ValueError):
-        recompose(Decomposition((Block(1, ((2,), (3,))),)))  # runs should merge
+        recompose((Block(1, ((2,), (3,))),))  # runs should merge
     with pytest.raises(ValueError):
-        recompose(Decomposition((Block(1, ((3,),)),)))  # 2 missing
+        recompose((Block(1, ((3,),)),))  # 2 missing
 
 
 def test_block_condition_agrees_with_search():
@@ -90,5 +88,5 @@ def test_block_condition_sees_past_empty_blocks():
 def test_label_matches_decomposition(brute_levels):
     for level in brute_levels.values():
         for w in level:
-            assert decompose(w).label == label(w)
+            assert len(decompose(w)[-1].runs) == label(w)
 

@@ -7,7 +7,6 @@ from vincular.blocks import PATTERN
 from vincular.brute import (
     ENUMERATION_CAP,
     _filter_avoiders,
-    all_permutations,
     brute_avoiders,
     brute_census,
     oracle_diff,
@@ -22,23 +21,6 @@ SMALL_PATTERNS = [
     for underlying in permutations(range(1, k + 1))
     for adjacency in product((False, True), repeat=k - 1)
 ]
-
-
-def test_all_permutations_lexicographic():
-    assert list(all_permutations(0)) == [()]
-    assert list(all_permutations(3)) == [
-        (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1),
-    ]
-
-
-def test_all_permutations_cap():
-    with pytest.raises(ValueError):
-        all_permutations(ENUMERATION_CAP + 1)
-    with pytest.raises(ValueError):
-        all_permutations(-1)
-    # force hands back the generator without enumerating anything
-    gen = all_permutations(ENUMERATION_CAP + 1, force=True)
-    assert next(gen) == tuple(range(1, ENUMERATION_CAP + 2))
 
 
 def test_brute_avoiders_small():

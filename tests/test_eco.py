@@ -1,6 +1,6 @@
 import pytest
 
-from vincular.eco import Insert, MoveAll, Partial, child_label, expand, reduce
+from vincular.eco import Insert, MoveAll, Partial, expand, reduce
 from vincular.perms import label
 
 
@@ -17,11 +17,12 @@ def test_reduce_promotes_two_when_one_precedes_two():
     )
 
 
-def test_reduce_rejects_bad_input():
+@pytest.mark.parametrize("word", [(1,), (1, 3, 2, 4), (1, 1), (2, 3), ()])
+def test_reduce_rejects_bad_input(word):
+    # a root with no parent, a non-avoider, two non-permutations and the
+    # empty word
     with pytest.raises(ValueError):
-        reduce((1,))
-    with pytest.raises(ValueError):
-        reduce((1, 3, 2, 4))
+        reduce(word)
 
 
 WORKED = (5, 9, 14, 10, 12, 1, 2, 7, 13, 6, 11, 3, 8, 4)
@@ -62,28 +63,6 @@ def test_expand_canonical_child_order():
         Insert(2),
         Insert(3),
     ]
-
-
-def test_child_label_table():
-    # 1 followed by k decreasing letters has label k
-    for k in range(5):
-        word = (1,) + tuple(range(k + 1, 1, -1))
-        assert label(word) == k
-        for spec, child in expand(word):
-            assert child_label(spec, k) == label(child)
-
-
-def test_child_label_rejects_moves_outside_range():
-    with pytest.raises(ValueError):
-        child_label(Partial(3, 1), 3)
-    with pytest.raises(ValueError):
-        child_label(Partial(1, 3), 3)
-    with pytest.raises(ValueError):
-        child_label(Insert(5), 3)
-    with pytest.raises(ValueError):
-        child_label(Insert(0), 3)
-    with pytest.raises(ValueError):
-        child_label(MoveAll(), -1)
 
 
 def test_reduce_inverts_expand(brute_levels):

@@ -1,8 +1,12 @@
+import importlib.util
 import json
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import vincular
 from vincular import brute, gentree
 from vincular.counting import avoider_counts
 from vincular.eco import expand
@@ -85,12 +89,22 @@ def test_generate_level_is_validating_expand_level_by_level():
         assert generate_level(n) == reference
 
 
-def test_pool_modules_bind_process_pool_executor():
+def test_pool_modules_bind_process_pool_executor(monkeypatch):
     # perfbench/tracing.py patches ProcessPoolExecutor in both modules to
     # time their pools, and its traced runs fail if either binding is gone,
     # although gentree itself no longer starts a pool.
     assert gentree.ProcessPoolExecutor is ProcessPoolExecutor
     assert brute.ProcessPoolExecutor is ProcessPoolExecutor
+    # A traced pass with no commands installs every wrapper and removes it
+    # again; it raises if a function in FUNCTIONS, a pool binding in POOLS
+    # or a binding in REQUIRED is gone.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # Runner prepends src
+    runner = tracing.Runner(Path(vincular.__file__).resolve().parents[1])
+    assert runner.run_pass([], trace=True) == []
 
 
 def test_label_census_matches_rule(brute_levels):

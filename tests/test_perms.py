@@ -11,28 +11,9 @@ from vincular.perms import (
     occurrences,
     occurs_ending_at,
     parse_dashed_pattern,
-    parse_permutation,
     rtl_maxima,
     standard_reduction,
 )
-
-
-def test_parse_permutation_accepts_commas_and_whitespace():
-    assert parse_permutation("3,1,2") == (3, 1, 2)
-    assert parse_permutation("3 1 2") == (3, 1, 2)
-    assert parse_permutation(" 3, 1 ,2 ") == (3, 1, 2)
-    assert parse_permutation("") == ()
-
-
-def test_parse_permutation_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_permutation("1,2,2")
-    with pytest.raises(ValueError):
-        parse_permutation("1,3")
-    with pytest.raises(ValueError):
-        parse_permutation("0,1")
-    with pytest.raises(ValueError):
-        parse_permutation("a b")
 
 
 def test_parse_dashed_pattern_blocks():

@@ -1,6 +1,6 @@
 """Property tests: random walks down the generating tree, the block
-criterion on random permutations, the parsers on arbitrary text, and the
-README's library examples."""
+criterion on random permutations, the pattern parser on arbitrary text,
+and the README's library examples."""
 
 import doctest
 from pathlib import Path
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from vincular.blocks import PATTERN, check_avoidance_by_blocks, decompose, recompose
 from vincular.eco import expand, reduce
 from vincular.gentree import ROOT, omega_rule
-from vincular.perms import avoids, label, parse_dashed_pattern, parse_permutation
+from vincular.perms import avoids, label, parse_dashed_pattern
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -50,11 +50,10 @@ def test_blocks_decide_avoidance_and_recompose(w):
 @settings(max_examples=300, database=None, deadline=None)
 @given(st.text(alphabet="0123456789-, \t\u00b2\u0663x", max_size=12))
 def test_parsers_raise_only_value_error(text):
-    for parse in (parse_dashed_pattern, parse_permutation):
-        try:
-            parse(text)
-        except ValueError:
-            pass
+    try:
+        parse_dashed_pattern(text)
+    except ValueError:
+        pass
 
 
 def test_readme_library_examples():
