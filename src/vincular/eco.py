@@ -26,7 +26,7 @@ import dataclasses
 from typing import Sequence
 
 from .blocks import decompose
-from .perms import Perm, standard_reduction
+from .perms import Perm
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,8 +60,8 @@ def reduce(word: Sequence[int]) -> Perm:
 
     When 2 precedes 1 the two last blocks merge, their runs interleaved by
     decreasing maxima, and 1 disappears.  Otherwise 2 leaves its run and
-    takes over as the head of the last block.  Either way the result is
-    renumbered down to a permutation.
+    takes over as the head of the last block.  Either way the word left
+    holds 2..n, and subtracting 1 makes it a permutation.
 
     >>> reduce((8, 4, 6, 1, 7, 5, 2, 3))
     (7, 3, 5, 1, 6, 4, 2)
@@ -82,7 +82,7 @@ def reduce(word: Sequence[int]) -> Perm:
     flat = head + (2,)
     for run in runs:
         flat += run
-    return standard_reduction(flat)
+    return tuple([v - 1 for v in flat])
 
 
 # A walk state (length, prefix, runs) is a tree node stored as its

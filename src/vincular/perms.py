@@ -231,6 +231,8 @@ def avoids(pattern: DashedPattern, word: Sequence[int]) -> bool:
     return next(_search(pattern, word, []), None) is None
 
 
+# Unused by the package; perfbench/tracing.py wraps this binding and fails
+# without it.
 def standard_reduction(word: Sequence[int]) -> Perm:
     """Replace the i-th smallest entry by i, giving a permutation.
 

@@ -2,13 +2,7 @@ from itertools import permutations
 
 import pytest
 
-from vincular.blocks import (
-    PATTERN,
-    Block,
-    check_avoidance_by_blocks,
-    decompose,
-    recompose,
-)
+from vincular.blocks import PATTERN, decompose
 from vincular.perms import avoids, label
 
 
@@ -24,9 +18,6 @@ def test_decompose_fourteen_letter_example():
 def test_decompose_rejects_containing_permutation():
     with pytest.raises(ValueError):
         decompose((1, 3, 2, 4))
-    # unchecked mode splits anything
-    d = decompose((1, 3, 2, 4), check=False)
-    assert recompose(d) == (1, 3, 2, 4)
 
 
 def test_decompose_rejects_non_permutation():
@@ -37,44 +28,46 @@ def test_decompose_rejects_non_permutation():
 
 
 def test_recompose_round_trip(brute_levels):
+    # the blocks, written out in order, give the word back
     for level in brute_levels.values():
         for w in level:
-            assert recompose(decompose(w)) == w
+            flat: list[int] = []
+            for block in decompose(w):
+                flat.append(block.minimum)
+                for run in block.runs:
+                    flat.extend(run)
+            assert tuple(flat) == w
 
 
-def test_recompose_round_trip_without_avoidance():
-    # the split itself is defined for every permutation
-    for n in range(1, 7):
-        for w in permutations(range(1, n + 1)):
-            assert recompose(decompose(w, check=False)) == w
-
-
-def test_recompose_rejects_malformed():
-    with pytest.raises(ValueError):
-        recompose(())
-    with pytest.raises(ValueError):
-        recompose((Block(2, ()),))  # last minimum not 1
-    with pytest.raises(ValueError):
-        recompose((Block(1, ()), Block(2, ())))  # minima increase
-    with pytest.raises(ValueError):
-        recompose((Block(1, ((),)),))  # empty run
-    with pytest.raises(ValueError):
-        recompose((Block(1, ((3, 2),)),))  # run not increasing
-    with pytest.raises(ValueError):
-        recompose((Block(2, ((1,),)), Block(1, ())))  # run below minimum
-    with pytest.raises(ValueError):
-        recompose((Block(1, ((2,), (3,))),))  # runs should merge
-    with pytest.raises(ValueError):
-        recompose((Block(1, ((3,),)),))  # 2 missing
+def test_decompose_blocks_are_well_formed(brute_levels):
+    for level in brute_levels.values():
+        for w in level:
+            blocks = decompose(w)
+            minima = [block.minimum for block in blocks]
+            assert minima == sorted(minima, reverse=True)
+            assert len(set(minima)) == len(minima)
+            assert minima[-1] == 1
+            for block in blocks:
+                for ri, run in enumerate(block.runs):
+                    assert run, w
+                    assert list(run) == sorted(run), w
+                    assert run[0] > block.minimum, w
+                    if ri > 0:
+                        # otherwise the two runs would be one
+                        assert run[0] < block.runs[ri - 1][-1], w
 
 
 def test_block_condition_agrees_with_search():
-    # the avoidance criterion on the block shape must agree with plain
-    # occurrence search on every permutation, not only on avoiders
-    for n in range(1, 8):
+    # decompose must reject exactly the words that plain occurrence search
+    # finds 1-32-4 in, over every permutation, not only over avoiders
+    for n in range(1, 9):
         for w in permutations(range(1, n + 1)):
-            d = decompose(w, check=False)
-            assert check_avoidance_by_blocks(d) == avoids(PATTERN, w), w
+            try:
+                decompose(w)
+                rejected = False
+            except ValueError:
+                rejected = True
+            assert rejected == (not avoids(PATTERN, w)), w
 
 
 def test_block_condition_sees_past_empty_blocks():
@@ -82,11 +75,11 @@ def test_block_condition_sees_past_empty_blocks():
     # a check confined to neighbouring blocks misses it
     w = (3, 5, 4, 2, 1, 6)
     assert not avoids(PATTERN, w)
-    assert not check_avoidance_by_blocks(decompose(w, check=False))
+    with pytest.raises(ValueError):
+        decompose(w)
 
 
 def test_label_matches_decomposition(brute_levels):
     for level in brute_levels.values():
         for w in level:
             assert len(decompose(w)[-1].runs) == label(w)
-

@@ -1,6 +1,8 @@
 import pytest
 
+from vincular import perms
 from vincular.eco import Insert, MoveAll, Partial, expand, reduce
+from vincular.gentree import verify_labelling
 from vincular.perms import label
 
 
@@ -85,3 +87,18 @@ def test_expand_child_types(brute_levels):
         for parent in brute_levels[n]:
             for spec, child in expand(parent):
                 assert (child.index(2) < child.index(1)) != isinstance(spec, Insert)
+
+
+def test_no_generic_search_behind_expand_or_reduce(brute_levels, monkeypatch):
+    # expand and reduce validate through the block scan of decompose; the
+    # backtracking occurrence search must stay off that path
+    def search(*args):
+        raise AssertionError("generic occurrence search called")
+
+    monkeypatch.setattr(perms, "_search", search)
+    for n in range(1, 7):
+        for w in brute_levels[n]:
+            expand(w)
+            if n > 1:
+                reduce(w)
+    assert verify_labelling(5).ok
