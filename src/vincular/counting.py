@@ -10,16 +10,16 @@ while v(n,k) = u(n,k+1) counts avoiders of length n with tree label k.
 Row sums of either triangle give the counting sequence.
 
 The module also carries a separate recursion for 31-4-2 avoiders counted
-by first letter, a continued fraction whose series disagrees with the
-counting sequence (``compare_cfrac_with_counts`` reports where), a label
-transform for succession rules, and residual checks for the functional
-equation and the boundary differential equation of the label series.
+by first letter, a continued fraction whose series, a tuple of integers
+from one integer recurrence, disagrees with the counting sequence
+(``compare_cfrac_with_counts`` reports where), a label transform for
+succession rules, and residual checks for the functional equation and the
+boundary differential equation of the label series.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from fractions import Fraction
 
 from .gentree import SuccessionRule, generate_level, omega_rule
 from .perms import label, parse_dashed_pattern
@@ -158,68 +158,44 @@ def callan_3142(n_max: int) -> list[int]:
 # univariate series and the continued fraction
 
 
-def _ser_inv(a: list[Fraction], n_max: int) -> list[Fraction]:
-    assert a[0] != 0
-    out = [Fraction(0)] * (n_max + 1)
-    out[0] = Fraction(1) / a[0]
-    for i in range(1, n_max + 1):
-        acc = Fraction(0)
-        for j in range(1, min(i, len(a) - 1) + 1):
-            acc += a[j] * out[i - j]
-        out[i] = -acc / a[0]
-    return out
-
-
-def _cfrac_coefficients(n_max: int, depth: int) -> list[Fraction]:
-    # U(depth) is cut off at 1; U(m) = 1 - z^m - z / U(m+1) going down.
-    level = [Fraction(0)] * (n_max + 1)
-    level[0] = Fraction(1)
-    for m in range(depth - 1, -1, -1):
-        nxt = [Fraction(0)] * (n_max + 1)
-        nxt[0] = Fraction(1)
-        if m <= n_max:
-            nxt[m] -= 1
-        inv = _ser_inv(level, n_max)
-        for i in range(n_max):
-            nxt[i + 1] -= inv[i]
-        level = nxt
-    # u(z) = 1 - z * (U(0) - z)
-    out = [Fraction(0)] * (n_max + 1)
-    out[0] = Fraction(1)
-    for i in range(n_max):
-        out[i + 1] -= level[i]
-    if n_max >= 2:
-        out[2] += 1
-    return out
-
-
-def continued_fraction_series(n_max: int, depth: int | None = None) -> tuple[int | Fraction, ...]:
+def continued_fraction_series(n_max: int) -> tuple[int, ...]:
     """Coefficients of z^0..z^n_max in u(z) = 1 - z(U(0) - z) with
     U(m) = 1 - z^m - z/U(m+1).
 
-    The fraction is cut at ``depth`` levels (default n_max + 2) and the
-    result is checked against depth + 1; a ValueError means the cut was
-    too shallow for the requested order.
+    Every U(m) with m >= 1 that gets inverted has constant term 1, so its
+    inverse comes from inv[i] = -sum(U[j] * inv[i-j] for j in 1..i) with no
+    division: the arithmetic stays in integers, exactly.
+
+    The fraction is cut at depth n_max + 2, where U is taken as 1.  The
+    true U there differs from 1 from z^1 on, and each level up multiplies
+    that difference by z, so a cut at depth D moves u only from z^(D+2)
+    on.  Depth n_max - 1 is thus the shallowest exact cut (checked for
+    every order 3..40), and n_max + 2 leaves a margin of three orders.
 
     >>> continued_fraction_series(6)
     (1, 0, 2, 2, 5, 15, 48)
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative: {n_max}")
-    if depth is None:
-        depth = n_max + 2
-    if depth < 1:
-        raise ValueError(f"depth must be positive: {depth}")
-    got = _cfrac_coefficients(n_max, depth)
-    again = _cfrac_coefficients(n_max, depth + 1)
-    if got != again:
-        raise ValueError(f"depth {depth} is too small to stabilize order {n_max}")
-    return tuple(int(c) if c.denominator == 1 else c for c in got)
+    level = [1] + [0] * n_max
+    for m in range(n_max + 1, -1, -1):
+        inv = [1] + [0] * n_max
+        for i in range(1, n_max + 1):
+            inv[i] = -sum(level[j] * inv[i - j] for j in range(1, i + 1))
+        # U(m) = 1 - z * inv - z^m
+        level = [1] + [-c for c in inv[:n_max]]
+        if m <= n_max:
+            level[m] -= 1
+    # u(z) = 1 - z * (U(0) - z)
+    out = [1] + [-c for c in level[:n_max]]
+    if n_max >= 2:
+        out[2] += 1
+    return tuple(out)
 
 
 @dataclasses.dataclass(frozen=True)
 class CfracComparison:
-    series: tuple[int | Fraction, ...]
+    series: tuple[int, ...]
     counts: tuple[int, ...]
     first_mismatch: int | None
 
@@ -233,7 +209,7 @@ class CfracComparison:
         )
 
 
-def compare_cfrac_with_counts(n_max: int, depth: int | None = None) -> CfracComparison:
+def compare_cfrac_with_counts(n_max: int) -> CfracComparison:
     """Continued fraction coefficients next to the avoider counts.
 
     The two disagree from order 1 on; the comparison records that rather
@@ -242,7 +218,7 @@ def compare_cfrac_with_counts(n_max: int, depth: int | None = None) -> CfracComp
     >>> compare_cfrac_with_counts(4).first_mismatch
     1
     """
-    series = continued_fraction_series(n_max, depth)
+    series = continued_fraction_series(n_max)
     counts = tuple(avoider_counts(n_max))
     first = next((i for i in range(n_max + 1) if series[i] != counts[i]), None)
     return CfracComparison(series, counts, first)

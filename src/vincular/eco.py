@@ -90,6 +90,7 @@ def reduce(word: Sequence[int]) -> Perm:
 # ``runs`` are the increasing runs of that block, all as codes
 # length + 1 - value.  The head itself is the old minimum, code length.
 _State = tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]
+_ROOT: _State = (1, (), ())  # the single letter 1
 
 
 def _children(

@@ -12,8 +12,9 @@ avoiders of length n exactly once.
 ``generate_level`` is ``eco._walk`` from the root: an explicit stack of
 nodes kept as their last block's runs and the word before it, each child
 built from its move without re-checking avoidance or decomposing again.
-``eco.expand`` is one step of the same walk behind validation of its
-input; ``verify_labelling`` and the dot and json exports use it.
+``verify_labelling`` walks the same states one step at a time and labels
+each child word once.  ``eco.expand`` is one step of the walk behind
+validation of its input; the dot and json exports use it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable
 
-from .eco import _walk, expand
+from .eco import _ROOT, _children, _walk, expand
 from .perms import Perm, label
 
 ROOT: Perm = (1,)
@@ -106,7 +107,7 @@ def generate_level(n: int) -> list[Perm]:
     """
     if n < 1:
         raise ValueError(f"level must be positive: {n}")
-    return _walk((1, (), ()), n)  # the walk state of ROOT
+    return _walk(_ROOT, n)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -126,6 +127,10 @@ def verify_labelling(n_max: int) -> LabellingReport:
     """Check, for every tree node of length at most n_max, that the labels
     of its children in canonical order are exactly the productions of its
     own label under ``omega_rule``.  n_max must be at least 1.
+
+    The nodes are walk states, built by the moves, so no node is validated
+    again; that every node avoids 1-32-4 is checked against the brute-force
+    oracle by ``verify --suite eco``.
     """
     if n_max < 1:
         raise ValueError(f"need at least length 1: {n_max}")
@@ -133,19 +138,18 @@ def verify_labelling(n_max: int) -> LabellingReport:
     if label(ROOT) != rule.axiom:
         return LabellingReport(False, 0, (ROOT, (rule.axiom,), (label(ROOT),)))
     checked = 0
-    stack: list[Perm] = [ROOT]
+    # (walk state, word, label) of each node still to check
+    stack = [(_ROOT, ROOT, rule.axiom)]
     while stack:
-        node = stack.pop()
-        if len(node) > n_max:
-            continue
-        children = expand(node)
-        expected = rule.productions(label(node))
-        got = tuple(label(child) for _, child in children)
+        state, node, node_label = stack.pop()
+        words = _walk(state, state[0] + 1)
+        expected = rule.productions(node_label)
+        got = tuple(label(word) for word in words)
         checked += 1
         if got != expected:
             return LabellingReport(False, checked, (node, expected, got))
-        if len(node) < n_max:
-            stack.extend(child for _, child in children)
+        if state[0] < n_max:
+            stack.extend(zip(_children(*state), words, got))
     return LabellingReport(True, checked, None)
 
 

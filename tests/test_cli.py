@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vincular
 from vincular import brute, cli, counting
 from vincular.cli import main
 
@@ -239,3 +244,18 @@ def test_verify_single_suite_json(capsys):
     assert report["ok"] is True
     assert report["suites"]["labelling"]["ok"] is True
     assert "eco" not in report["suites"]
+
+
+def test_startup_imports_no_rational_arithmetic():
+    # every command imports the whole package; the continued fraction is
+    # evaluated in integers, so fractions and decimal stay unloaded
+    src = Path(vincular.__file__).resolve().parents[1]
+    code = (
+        "import vincular.cli, sys; "
+        "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"

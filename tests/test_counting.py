@@ -104,11 +104,15 @@ def test_continued_fraction_series():
     assert all(isinstance(c, int) for c in series)
 
 
-def test_continued_fraction_depth_too_small():
+def test_continued_fraction_series_is_a_prefix_of_longer_ones():
+    # each order has its own cut, so a cut too shallow for its order shows
+    # up as a coefficient that a longer series does not share
+    longest = continued_fraction_series(60)
+    assert all(isinstance(c, int) for c in longest)
+    for n in range(41):
+        assert continued_fraction_series(n) == longest[: n + 1], n
     with pytest.raises(ValueError):
-        continued_fraction_series(8, depth=3)
-    # explicit generous depth agrees with the default
-    assert continued_fraction_series(6, depth=20) == continued_fraction_series(6)
+        continued_fraction_series(-1)
 
 
 def test_cfrac_comparison_reports_first_mismatch():
@@ -178,8 +182,8 @@ def test_series_checks_need_order_one(n_max):
         check_pde(n_max)
 
 
-# sha256 of the stdout of the large recurrence commands, the values that
-# perfbench/references.json holds for them
+# sha256 of the stdout of the large recurrence and continued fraction
+# commands, the values that perfbench/references.json holds for them
 LARGE_OUTPUTS = {
     ("count", "--n", "400"): "1b1bfa5bb46708a89313dc1f918ef3631aa73404f95413ca281373671130caaa",
     ("count", "--pattern", "31-4-2", "--n", "100"): (
@@ -187,6 +191,13 @@ LARGE_OUTPUTS = {
     ),
     ("triangle", "--which", "v", "--n", "300"): (
         "86ac79a887d6350ae033831a2c7ecc3a229ea901557cac098e1737c2d990787e"
+    ),
+    ("count", "--method", "cfrac", "--n", "40"): (
+        "99fa2c6247a927d8f54a397d6708142286d355e27f3b4fbef2840384700aa943"
+    ),
+    # not in references.json; taken from the Fraction-based evaluation
+    ("count", "--method", "cfrac", "--n", "60"): (
+        "d709e938138204a4834fdd111d4d497cbf1daf33455c555b5aef4d8a4f82e4b2"
     ),
 }
 

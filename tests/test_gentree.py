@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 import vincular
-from vincular import brute, gentree
+from vincular import brute, eco, gentree
 from vincular.counting import avoider_counts
-from vincular.eco import expand
+from vincular.eco import expand, reduce
 from vincular.gentree import (
     export_tree,
     generate_level,
@@ -122,6 +122,24 @@ def test_verify_labelling():
     # one check per avoider of length 1..6
     assert report.nodes_checked == sum(avoider_counts(6)[1:])
     assert "consistent" in str(report)
+
+
+def test_verify_labelling_reports_the_parent_of_a_mislabelled_word(monkeypatch):
+    w = (3, 1, 4, 2)
+    monkeypatch.setattr(gentree, "label", lambda word: label(word) + (word == w))
+    report = verify_labelling(5)
+    assert not report.ok
+    assert report.first_violation[0] == reduce(w)
+
+
+def test_verify_labelling_decomposes_nothing(monkeypatch):
+    # the walk states are avoiders by construction, so no node is
+    # validated again
+    def decompose(word):
+        raise AssertionError("decompose called")
+
+    monkeypatch.setattr(eco, "decompose", decompose)
+    assert verify_labelling(6).ok
 
 
 @pytest.mark.parametrize("n_max", [0, -1])
