@@ -24,11 +24,12 @@ GENERATE_CAP = 11
 CENSUS_CAP = 9
 # Every verify suite but pde enumerates whole levels of the tree.
 VERIFY_CAP = brute.ORACLE_CAP
-# The recurrences keep whole triangles of big integers: the u triangle of
-# n = 1000 takes about 1.4 s and 250 MB, that of n = 2000 1.8 GB.  The 31-4-2
-# recursion at 300 and the pde check at 400 take a few seconds each.  The
-# continued fraction grows as the cube of its order: 0.03 s at 60, about 1 s
-# at 200; its cap stays at 60.
+# The recurrences keep whole triangles of big integers: `count --n 1000`
+# takes about 1.1 s and 250 MB (1.8 GB at n = 2000).  `triangle --which u
+# --n 1000` takes about 14 s and 1.5 GB, most of it for its 435 MB of csv
+# text.  The 31-4-2 recursion at 300 and the pde check at 400 take a few
+# seconds each.  The continued fraction grows as the cube of its order:
+# 0.03 s at 60, about 1 s at 200; its cap stays at 60.
 RECURRENCE_CAP = 1000
 CALLAN_CAP = 300
 CFRAC_CAP = 60

@@ -1,13 +1,16 @@
-"""Recurrences and series identities for the avoider counts.
+"""Counting sequences and series identities for the avoider counts.
 
 Two triangles refine the counting sequence 1, 1, 2, 6, 23, 105, 549, ...
-of 1-32-4 avoiders.  With u(0,0) = 1 and u(n,0) = 0 for n >= 1,
+of 1-32-4 avoiders, and both are read off the succession rule.  Row n >= 1
+of v is the label census at depth n - 1 of ``omega_rule``: v(n,k)
+avoiders of length n carry label k.  Row n >= 1 of u is the same census
+under ``lambda_rule``, so u(n,k) = v(n,k-1).  Row 0 holds the empty word
+alone, at k = 0 in u and k = -1 in v.  One step of the rule's census is
+the counting recurrence
 
     u(n,k) = u(n-1,k-1) + k * sum_{j>=k} u(n-1,j)      (1 <= k <= n)
 
-counts by how many children a length-n node has in the shifted tree sense,
-while v(n,k) = u(n,k+1) counts avoiders of length n with tree label k.
-Row sums of either triangle give the counting sequence.
+and row sums of either triangle give the counting sequence.
 
 The module also carries a separate recursion for 31-4-2 avoiders counted
 by first letter, a continued fraction whose series, a tuple of integers
@@ -20,8 +23,9 @@ boundary differential equation of the label series.
 from __future__ import annotations
 
 import dataclasses
+from itertools import islice
 
-from .gentree import SuccessionRule, generate_level, omega_rule
+from .gentree import SuccessionRule, generate_level, lambda_rule, omega_rule
 from .perms import label, parse_dashed_pattern
 
 PATTERN_3142 = parse_dashed_pattern("31-4-2")
@@ -52,47 +56,28 @@ class Triangle:
 
 
 def u_triangle(n_max: int) -> Triangle:
-    """Rows 0..n_max of the triangle u.
+    """Rows 0..n_max of the triangle u: row 0 is {0: 1}, row n >= 1 the
+    label census at depth n - 1 of ``lambda_rule``.
 
     >>> u_triangle(4).row(4)
     {1: 6, 2: 10, 3: 6, 4: 1}
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative: {n_max}")
-    rows: list[dict[int, int]] = [{0: 1}]
-    for n in range(1, n_max + 1):
-        prev = rows[n - 1]
-        # suffix[k] = sum of u(n-1, j) for j >= k
-        suffix = [0] * (n + 2)
-        for k in range(n - 1, -1, -1):
-            suffix[k] = suffix[k + 1] + prev.get(k, 0)
-        row = {k: prev.get(k - 1, 0) + k * suffix[min(k, n)] for k in range(1, n + 1)}
-        rows.append(row)
-    return Triangle(tuple(rows))
+    return Triangle(({0: 1}, *islice(lambda_rule().levels(), n_max)))
 
 
 def v_triangle(n_max: int) -> Triangle:
     """Label census triangle: v(n,k) avoiders of length n carry label k.
-
-    Computed by its own recurrence, not by shifting u: with v(0,-1) = 1
-    and v(n,-1) = 0 for n >= 1,
-
-        v(n,k) = v(n-1,k-1) + (k+1) * sum_{k<=j<=n-2} v(n-1,j)
+    Row 0 is {-1: 1}, row n >= 1 the census at depth n - 1 of
+    ``omega_rule``.
 
     >>> v_triangle(4).row(4)
     {0: 6, 1: 10, 2: 6, 3: 1}
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative: {n_max}")
-    rows: list[dict[int, int]] = [{-1: 1}]
-    for n in range(1, n_max + 1):
-        prev = rows[n - 1]
-        suffix = [0] * (n + 2)
-        for k in range(n - 2, -1, -1):
-            suffix[k] = suffix[k + 1] + prev.get(k, 0)
-        row = {k: prev.get(k - 1, 0) + (k + 1) * (suffix[k] if k <= n - 2 else 0) for k in range(n)}
-        rows.append(row)
-    return Triangle(tuple(rows))
+    return Triangle(({-1: 1}, *islice(omega_rule().levels(), n_max)))
 
 
 def count_avoiders(n: int) -> int:

@@ -118,10 +118,11 @@ def _children(
     return out
 
 
-def _walk(start: _State, n: int) -> list[Perm]:
-    """Descendants of length n of a walk state, in depth-first tree order."""
+def _walk(starts: list[_State], n: int) -> list[Perm]:
+    """Descendants of length n of the walk states, in depth-first tree
+    order."""
     out: list[Perm] = []
-    stack = [start]
+    stack = starts[::-1]
     while stack:
         length, prefix, runs = stack.pop()
         if length < n:
@@ -158,4 +159,4 @@ def expand(word: Sequence[int]) -> list[tuple[ChildSpec, Perm]]:
     specs: list[ChildSpec] = [Partial(i, j) for i in range(k) for j in range(1, i + 2)]
     specs.append(MoveAll())
     specs.extend(Insert(p) for p in range(1, k + 2))
-    return list(zip(specs, _walk((len(w), prefix, runs), top), strict=True))
+    return list(zip(specs, _walk(_children(len(w), prefix, runs), top), strict=True))

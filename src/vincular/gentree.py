@@ -1,20 +1,23 @@
-"""Succession rules and the generating tree of ``eco.expand``.
+"""The succession rule and the generating tree of ``eco.expand``.
 
 The tree has the single letter 1 at its root; the children of a node are
 its expansions in canonical order.  Labels evolve by the rule
 
     (0),  (k) -> (0)(1)(1)(2)(2)(2)...(k)^{k+1}(k+1)
 
-and a shifted variant with axiom (1) describes the same tree with every
-label moved up by one.  Level n of the tree (root at level 1) holds the
-avoiders of length n exactly once.
+and the same rule with axiom (1) describes the tree with every label
+moved up by one; both are instances of ``SuccessionRule``.  Level n of the
+tree (root at level 1) holds the avoiders of length n exactly once, and
+``SuccessionRule.levels`` gives the multiset of their labels one suffix
+sum per level; the triangles of ``counting`` are read from it.
 
 ``generate_level`` is ``eco._walk`` from the root: an explicit stack of
 nodes kept as their last block's runs and the word before it, each child
 built from its move without re-checking avoidance or decomposing again.
-``verify_labelling`` walks the same states one step at a time and labels
-each child word once.  ``eco.expand`` is one step of the walk behind
-validation of its input; the dot and json exports use it.
+``verify_labelling`` builds each node's child states once, turns them into
+words by the same walk and labels each word once.  ``eco.expand`` is one
+step of the walk behind validation of its input; the dot and json exports
+use it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import dataclasses
 import json
 # Unused here; perfbench/tracing.py patches this binding and fails without it.
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable
+from itertools import accumulate, islice
+from typing import Iterator
 
 from .eco import _ROOT, _children, _walk, expand
 from .perms import Perm, label
@@ -37,48 +41,58 @@ TREE_CAP = 8
 
 @dataclasses.dataclass(frozen=True)
 class SuccessionRule:
+    """Rule with axiom (a): label k produces each i in a..k exactly
+    i + 1 - a times, then k + 1 once."""
+
     axiom: int
-    productions: Callable[[int], tuple[int, ...]]
+
+    def productions(self, k: int) -> tuple[int, ...]:
+        """Child labels of a node labelled k, in canonical order."""
+        a = self.axiom
+        if k < a:
+            raise ValueError(f"label below the axiom {a}: {k}")
+        out: list[int] = []
+        for i in range(a, k + 1):
+            out += [i] * (i + 1 - a)
+        out.append(k + 1)
+        return tuple(out)
+
+    def levels(self) -> Iterator[dict[int, int]]:
+        """Label multisets at depths 0, 1, 2, ... of the rule's tree, each
+        in increasing label.
+
+        Label i at the next depth is the last production of every label
+        i - 1, and is produced i + 1 - a times by every label j >= i, so
+        one suffix sum per level makes the whole step:
+
+            next[i] = prev[i-1] + (i+1-a) * sum_{j>=i} prev[j]
+
+        >>> list(islice(SuccessionRule(1).levels(), 3))
+        [{1: 1}, {1: 1, 2: 1}, {1: 2, 2: 3, 3: 1}]
+        """
+        row = [1]  # row[m] counts label a + m
+        while True:
+            yield {self.axiom + m: c for m, c in enumerate(row)}
+            suffix = [*accumulate(reversed(row))][::-1] + [0]  # sum of row[m:]
+            row = [p + (m + 1) * s for m, (p, s) in enumerate(zip([0] + row, suffix))]
 
 
 def omega_rule() -> SuccessionRule:
-    """Rule with axiom (0); label k produces each i in 0..k exactly i+1
-    times, then k+1 once.
+    """The tree's rule: axiom (0), (k) -> (0)(1)(1)...(k)^{k+1}(k+1).
 
     >>> omega_rule().productions(2)
     (0, 1, 1, 2, 2, 2, 3)
     """
-
-    def productions(k: int) -> tuple[int, ...]:
-        if k < 0:
-            raise ValueError(f"label must be nonnegative: {k}")
-        out: list[int] = []
-        for i in range(k + 1):
-            out.extend([i] * (i + 1))
-        out.append(k + 1)
-        return tuple(out)
-
-    return SuccessionRule(0, productions)
+    return SuccessionRule(0)
 
 
 def lambda_rule() -> SuccessionRule:
-    """Rule with axiom (1); label h produces each i in 1..h exactly i
-    times, then h+1 once.  It is ``omega_rule`` with all labels up by one.
+    """``omega_rule`` with every label moved up by one: axiom (1).
 
     >>> lambda_rule().productions(3)
     (1, 2, 2, 3, 3, 3, 4)
     """
-
-    def productions(h: int) -> tuple[int, ...]:
-        if h < 1:
-            raise ValueError(f"label must be positive: {h}")
-        out: list[int] = []
-        for i in range(1, h + 1):
-            out.extend([i] * i)
-        out.append(h + 1)
-        return tuple(out)
-
-    return SuccessionRule(1, productions)
+    return SuccessionRule(1)
 
 
 def level_label_counts(rule: SuccessionRule, n: int) -> dict[int, int]:
@@ -89,14 +103,7 @@ def level_label_counts(rule: SuccessionRule, n: int) -> dict[int, int]:
     """
     if n < 0:
         raise ValueError(f"depth must be nonnegative: {n}")
-    counts = {rule.axiom: 1}
-    for _ in range(n):
-        nxt: dict[int, int] = {}
-        for lab, mult in counts.items():
-            for child in rule.productions(lab):
-                nxt[child] = nxt.get(child, 0) + mult
-        counts = nxt
-    return dict(sorted(counts.items()))
+    return next(islice(rule.levels(), n, None))
 
 
 def generate_level(n: int) -> list[Perm]:
@@ -107,7 +114,7 @@ def generate_level(n: int) -> list[Perm]:
     """
     if n < 1:
         raise ValueError(f"level must be positive: {n}")
-    return _walk(_ROOT, n)
+    return _walk([_ROOT], n)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -142,14 +149,15 @@ def verify_labelling(n_max: int) -> LabellingReport:
     stack = [(_ROOT, ROOT, rule.axiom)]
     while stack:
         state, node, node_label = stack.pop()
-        words = _walk(state, state[0] + 1)
+        children = _children(*state)
+        words = _walk(children, state[0] + 1)
         expected = rule.productions(node_label)
         got = tuple(label(word) for word in words)
         checked += 1
         if got != expected:
             return LabellingReport(False, checked, (node, expected, got))
         if state[0] < n_max:
-            stack.extend(zip(_children(*state), words, got))
+            stack.extend(zip(children, words, got))
     return LabellingReport(True, checked, None)
 
 

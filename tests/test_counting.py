@@ -199,6 +199,10 @@ LARGE_OUTPUTS = {
     ("count", "--method", "cfrac", "--n", "60"): (
         "d709e938138204a4834fdd111d4d497cbf1daf33455c555b5aef4d8a4f82e4b2"
     ),
+    # not in references.json; taken from the hand-written u recurrence
+    ("triangle", "--which", "u", "--n", "300"): (
+        "4b9378d66d1d78da1fb5d200e847b27200c78d5853e9227223885fe386cea448"
+    ),
 }
 
 
@@ -207,6 +211,21 @@ def test_large_recurrence_outputs_are_unchanged(capsys, argv):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == LARGE_OUTPUTS[argv]
+
+
+@pytest.mark.parametrize(
+    "which, n, csv",
+    [
+        ("u", "0", "n,k,value\n0,0,1\n"),
+        ("v", "0", "n,k,value\n0,-1,1\n"),
+        ("u", "1", "n,k,value\n0,0,1\n1,1,1\n"),
+        ("v", "1", "n,k,value\n0,-1,1\n1,0,1\n"),
+    ],
+    ids=["u0", "v0", "u1", "v1"],
+)
+def test_smallest_triangles(capsys, which, n, csv):
+    assert main(["triangle", "--which", which, "--n", n]) == 0
+    assert capsys.readouterr().out == csv
 
 
 def _callan_by_triple_sum(n_max):

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,28 @@ def test_lambda_is_omega_shifted():
     for depth in range(13):
         shifted = {k + 1: v for k, v in level_label_counts(om, depth).items()}
         assert shifted == level_label_counts(la, depth)
+
+
+def _census_by_productions(rule, depth):
+    # slow reference: expand every label into its productions, level by level
+    counts = {rule.axiom: 1}
+    for _ in range(depth):
+        nxt: dict[int, int] = {}
+        for lab, mult in counts.items():
+            for child in rule.productions(lab):
+                nxt[child] = nxt.get(child, 0) + mult
+        counts = nxt
+    return counts
+
+
+@pytest.mark.parametrize("rule", [omega_rule(), lambda_rule()], ids=["omega", "lambda"])
+def test_census_step_equals_expanding_the_productions(rule):
+    for depth, row in enumerate(islice(rule.levels(), 13)):
+        reference = sorted(_census_by_productions(rule, depth).items())
+        assert list(row.items()) == reference, depth
+        assert list(level_label_counts(rule, depth).items()) == reference
+    with pytest.raises(ValueError):
+        level_label_counts(rule, -1)
 
 
 def test_level_label_counts_total_is_avoider_count():
