@@ -24,11 +24,11 @@ GENERATE_CAP = 11
 CENSUS_CAP = 9
 # Every verify suite but pde enumerates whole levels of the tree.
 VERIFY_CAP = brute.ORACLE_CAP
-# The recurrences keep whole triangles of big integers: `count --n 1000`
-# takes about 1.1 s and 250 MB (1.8 GB at n = 2000).  `triangle --which u
-# --n 1000` takes about 14 s and 1.5 GB, most of it for its 435 MB of csv
-# text.  The 31-4-2 recursion at 300 and the pde check at 400 take a few
-# seconds each.  The continued fraction grows as the cube of its order:
+# `count --n 1000` holds one row of the rule's census at a time: about
+# 0.4 s and 22 MB.  `triangle --which u --n 1000` keeps the whole triangle
+# of big integers and streams its 435 MB of csv: about 8 s and 250 MB.
+# The 31-4-2 recursion at 300 takes about 2 s, the pde check at 400
+# about 0.2 s.  The continued fraction grows as the cube of its order:
 # 0.03 s at 60, about 1 s at 200; its cap stays at 60.
 RECURRENCE_CAP = 1000
 CALLAN_CAP = 300
@@ -96,19 +96,16 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_triangle(args: argparse.Namespace) -> int:
-    if args.which != "census":
+    if args.which == "census":
+        if args.n < 0:
+            raise ValueError(f"length must be nonnegative: {args.n}")
+        _check_cap(args.n, CENSUS_CAP, "brute census", args.force)
+        rows = (brute.brute_census(PATTERN, n, force=args.force) for n in range(1, args.n + 1))
+        triangle = counting.Triangle(({}, *rows))
+    else:
         _check_cap(args.n, RECURRENCE_CAP, f"triangle {args.which}", args.force)
-        build = counting.u_triangle if args.which == "u" else counting.v_triangle
-        sys.stdout.write(build(args.n).to_csv())
-        return 0
-    if args.n < 0:
-        raise ValueError(f"length must be nonnegative: {args.n}")
-    _check_cap(args.n, CENSUS_CAP, "brute census", args.force)
-    lines = ["n,k,value"]
-    for n in range(1, args.n + 1):
-        row = brute.brute_census(PATTERN, n, force=args.force)
-        lines.extend(f"{n},{k},{v}" for k, v in row.items())
-    sys.stdout.write("\n".join(lines) + "\n")
+        triangle = (counting.u_triangle if args.which == "u" else counting.v_triangle)(args.n)
+    sys.stdout.writelines(triangle.csv_lines())
     return 0
 
 

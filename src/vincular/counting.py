@@ -15,17 +15,19 @@ and row sums of either triangle give the counting sequence.
 The module also carries a separate recursion for 31-4-2 avoiders counted
 by first letter, a continued fraction whose series, a tuple of integers
 from one integer recurrence, disagrees with the counting sequence
-(``compare_cfrac_with_counts`` reports where), a label transform for
-succession rules, and residual checks for the functional equation and the
-boundary differential equation of the label series.
+(``compare_cfrac_with_counts`` reports where), and residual checks for the
+functional equation and the boundary differential equation, both read
+row by row off the tree's label census, a ``Triangle`` like v.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
+from collections.abc import Iterator
 from itertools import islice
 
-from .gentree import SuccessionRule, generate_level, lambda_rule, omega_rule
+from .gentree import generate_level, lambda_rule, omega_rule
 from .perms import label, parse_dashed_pattern
 
 PATTERN_3142 = parse_dashed_pattern("31-4-2")
@@ -48,11 +50,12 @@ class Triangle:
     def row_sum(self, n: int) -> int:
         return sum(self.rows[n].values()) if 0 <= n < len(self.rows) else 0
 
-    def to_csv(self) -> str:
-        lines = ["n,k,value"]
+    def csv_lines(self) -> Iterator[str]:
+        """The triangle as csv lines, header first, one line at a time."""
+        yield "n,k,value\n"
         for n, row in enumerate(self.rows):
-            lines.extend(f"{n},{k},{v}" for k, v in row.items())
-        return "\n".join(lines) + "\n"
+            for k, v in row.items():
+                yield f"{n},{k},{v}\n"
 
 
 def u_triangle(n_max: int) -> Triangle:
@@ -88,13 +91,15 @@ def count_avoiders(n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"length must be nonnegative: {n}")
-    return u_triangle(n).row_sum(n)
+    return avoider_counts(n)[n]
 
 
 def avoider_counts(n_max: int) -> list[int]:
-    """Counting sequence for lengths 0..n_max, from one triangle pass."""
-    tri = u_triangle(n_max)
-    return [tri.row_sum(n) for n in range(n_max + 1)]
+    """Counting sequence for lengths 0..n_max: the row sums of u, summed
+    as the rule's census yields them, so only one row is held."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative: {n_max}")
+    return [1] + [sum(row.values()) for row in islice(lambda_rule().levels(), n_max)]
 
 
 def callan_3142_triangle(n_max: int) -> Triangle:
@@ -213,45 +218,18 @@ def compare_cfrac_with_counts(n_max: int) -> CfracComparison:
 # label series, functional equation, boundary differential equation
 
 
-@dataclasses.dataclass(frozen=True)
-class BivariateSeries:
-    """Polynomial truncation of sum c(n,k) z^n u^k, as a map from (n, k)
-    to the nonzero c(n,k), plus an explicit term for the empty object,
-    which carries no label."""
+def label_series(n_max: int) -> Triangle:
+    """The tree's label census in ``v_triangle``'s shape: row 0 is
+    {-1: 1} for the empty word, and row n counts the labels of
+    ``generate_level(n)`` in increasing k.
 
-    coeffs: dict[tuple[int, int], int]
-    empty_term: int = 0
-
-
-def label_series(n_max: int) -> BivariateSeries:
-    """Census series: empty term 1 plus z^n u^(label of t) over avoiders t
-    of each length n up to n_max."""
-    coeffs: dict[tuple[int, int], int] = {}
-    for n in range(1, n_max + 1):
-        for word in generate_level(n):
-            key = (n, label(word))
-            coeffs[key] = coeffs.get(key, 0) + 1
-    return BivariateSeries(coeffs, empty_term=1)
-
-
-def lomega_apply(s: BivariateSeries, rule: SuccessionRule) -> BivariateSeries:
-    """Label transform of a succession rule: u^k becomes the sum of u^e
-    over the productions e of k, and the empty-object term becomes
-    u^axiom.  The z exponent is untouched.
-
-    >>> s = BivariateSeries({(1, 0): 1}, empty_term=1)
-    >>> lomega_apply(s, omega_rule()).coeffs
-    {(0, 0): 1, (1, 0): 1, (1, 1): 1}
+    >>> label_series(3).rows
+    ({-1: 1}, {0: 1}, {0: 1, 1: 1}, {0: 2, 1: 3, 2: 1})
     """
-    out: dict[tuple[int, int], int] = {}
-    if s.empty_term:
-        key = (0, rule.axiom)
-        out[key] = out.get(key, 0) + s.empty_term
-    for (n, k), c in s.coeffs.items():
-        for e in rule.productions(k):
-            key = (n, e)
-            out[key] = out.get(key, 0) + c
-    return BivariateSeries({key: c for key, c in out.items() if c})
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative: {n_max}")
+    rows = (sorted(Counter(map(label, generate_level(n))).items()) for n in range(1, n_max + 1))
+    return Triangle(({-1: 1}, *map(dict, rows)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -268,25 +246,29 @@ class ResidualReport:
 
 
 def check_functional_equation(n_max: int) -> ResidualReport:
-    """Verify A(z,u) = A(0,u) + z * L(A(z,u)) on the census series
-    through order n_max, with L the label transform of the tree rule.
-    n_max must be at least 1.
+    """Verify A(z,u) = A(0,u) + z * L(A(z,u)) on the tree's label census A
+    through order n_max, with L the label transform of ``omega_rule``: u^k
+    becomes the sum of u^e over the productions e of k, and the empty
+    word's term becomes u^0.  n_max must be at least 1.
+
+    Row n of the equation reads A_n = L(A_{n-1}).  The rows v_n of
+    ``v_triangle`` satisfy it by construction (v_1 = {0: 1} is L of the
+    empty word, each later row one step of the rule's census), so the
+    residual is compared row by row with v: below the first row n where
+    the census and v differ, A_{n-1} = v_{n-1}, so every earlier row of
+    the residual A_n - L(A_{n-1}) is 0 and row n of it is A_n - v_n.  The
+    first nonzero (n, k) of census minus v is thus the residual's first
+    nonzero term.
     """
     if n_max < 1:
         raise ValueError(f"need at least order 1: {n_max}")
-    series = label_series(n_max)
-    mapped = lomega_apply(series, omega_rule())
-    residual = dict(series.coeffs)
-    # subtract A(0,u): the u-free empty term cancels; census has no other
-    # z^0 coefficients
-    for (n, k), c in mapped.coeffs.items():
-        if n + 1 > n_max:
-            continue
-        key = (n + 1, k)
-        residual[key] = residual.get(key, 0) - c
-    bad = sorted((nk, c) for nk, c in residual.items() if c != 0)
-    if bad:
-        return ResidualReport(False, n_max, bad[0])
+    census, v = label_series(n_max), v_triangle(n_max)
+    for n in range(1, n_max + 1):
+        a, b = census.rows[n], v.rows[n]
+        for k in sorted(a.keys() | b.keys()):
+            c = a.get(k, 0) - b.get(k, 0)
+            if c:
+                return ResidualReport(False, n_max, ((n, k), c))
     return ResidualReport(True, n_max, None)
 
 
@@ -298,44 +280,35 @@ PDE_CONVENTIONS = (
 )
 
 
-def _pde_residual(census: Triangle, convention: str) -> dict[tuple[int, int], int]:
-    n_max = len(census.rows) - 1
+def _pde_first_residual(census: Triangle, convention: str) -> tuple[tuple[int, int], int] | None:
+    """The lowest nonzero term c z^n t^m of the differential equation's
+    residual, as ((n, m), c), or None when it vanishes.  Row n of the
+    residual is
+
+        (1-t)^2 F_n + t^2(1-t) F'_{n-1} + t^2(2-t) F_{n-1}
+            - t F_{n-1}(1) - [n=1] t(1-t)^2
+
+    with F_n row n of the census as a polynomial in t under the
+    convention.  Labels are nonnegative, so t^0 is the lowest power.
+    """
     shift = 1 if convention.startswith("label-plus-one") else 0
-    f: dict[tuple[int, int], int] = {}
-    for n in range(1, n_max + 1):
-        for k, value in census.rows[n].items():
-            f[(n, k + shift)] = value
-    if convention.endswith("with-empty"):
-        f[(0, 0)] = 1
-
-    def mul(poly: dict[tuple[int, int], int], g: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = {}
-        for (dz, dt), c in poly.items():
-            for (n, m), v in g.items():
-                if n + dz > n_max:
-                    continue
-                key = (n + dz, m + dt)
-                out[key] = out.get(key, 0) + c * v
-        return out
-
-    df = {(n, m - 1): m * v for (n, m), v in f.items() if m > 0}
-    f_at_1: dict[tuple[int, int], int] = {}
-    for (n, _), v in f.items():
-        f_at_1[(n, 0)] = f_at_1.get((n, 0), 0) + v
-
-    residual: dict[tuple[int, int], int] = {}
-
-    def acc(term: dict[tuple[int, int], int], sign: int) -> None:
-        for key, v in term.items():
-            if key[0] > n_max:
-                continue
-            residual[key] = residual.get(key, 0) + sign * v
-
-    acc(mul({(1, 2): 1, (1, 3): -1}, df), 1)
-    acc(mul({(0, 0): 1, (0, 1): -2, (0, 2): 1, (1, 2): 2, (1, 3): -1}, f), 1)
-    acc({(1, 1): 1, (1, 2): -2, (1, 3): 1}, -1)
-    acc(mul({(1, 1): 1}, f_at_1), -1)
-    return {key: v for key, v in residual.items() if v != 0}
+    empty = {0: 1} if convention.endswith("with-empty") else {}
+    rows = [empty, *({k + shift: c for k, c in row.items()} for row in census.rows[1:])]
+    prev: dict[int, int] = {}
+    for n, f in enumerate(rows):
+        cur, old = f.get, prev.get
+        for m in range(max([*f, *prev], default=0) + 4):
+            # t^m in (1-t)^2 F_n, then in t^2(1-t) F'_{n-1} + t^2(2-t) F_{n-1}
+            c = cur(m, 0) - 2 * cur(m - 1, 0) + cur(m - 2, 0)
+            c += (m - 1) * old(m - 1, 0) - (m - 4) * old(m - 2, 0) - old(m - 3, 0)
+            if m == 1:
+                c -= sum(prev.values())
+            if n == 1 and 1 <= m <= 3:
+                c -= (1, -2, 1)[m - 1]
+            if c:
+                return (n, m), c
+        prev = f
+    return None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -367,8 +340,7 @@ def check_pde(n_max: int) -> PdeReport:
     tried: list[tuple[str, tuple[tuple[int, int], int] | None]] = []
     winner: str | None = None
     for convention in PDE_CONVENTIONS:
-        residual = _pde_residual(census, convention)
-        first_bad = min(residual.items()) if residual else None
+        first_bad = _pde_first_residual(census, convention)
         tried.append((convention, first_bad))
         if first_bad is None and winner is None:
             winner = convention

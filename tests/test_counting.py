@@ -7,7 +7,7 @@ from vincular.brute import brute_avoiders
 from vincular.cli import main
 from vincular.counting import (
     PATTERN_3142,
-    BivariateSeries,
+    Triangle,
     avoider_counts,
     callan_3142,
     callan_3142_triangle,
@@ -17,11 +17,10 @@ from vincular.counting import (
     continued_fraction_series,
     count_avoiders,
     label_series,
-    lomega_apply,
     u_triangle,
     v_triangle,
 )
-from vincular.gentree import lambda_rule, omega_rule
+from vincular.perms import label
 
 COUNTS = [1, 1, 2, 6, 23, 105, 549, 3207, 20577, 143239]
 
@@ -60,7 +59,7 @@ def test_row_sums_count_avoiders():
 
 
 def test_triangle_csv():
-    csv = u_triangle(2).to_csv()
+    csv = "".join(u_triangle(2).csv_lines())
     assert csv == "n,k,value\n0,0,1\n1,1,1\n2,1,1\n2,2,1\n"
 
 
@@ -125,22 +124,11 @@ def test_cfrac_comparison_reports_first_mismatch():
 
 
 def test_label_series_matches_v_triangle():
-    series = label_series(6)
-    v = v_triangle(6)
-    assert series.empty_term == 1
-    assert series.coeffs == {(n, k): value for n in range(1, 7) for k, value in v.row(n).items()}
-
-
-def test_lomega_apply():
-    s = BivariateSeries({(2, 1): 3}, empty_term=2)
-    out = lomega_apply(s, omega_rule())
-    assert out.empty_term == 0
-    assert out.coeffs == {(0, 0): 2, (2, 0): 3, (2, 1): 6, (2, 2): 3}
-    shifted = lomega_apply(BivariateSeries({(1, 1): 1}), lambda_rule())
-    assert shifted.coeffs == {(1, 1): 1, (1, 2): 1}
-    # terms that cancel are dropped
-    cancelled = lomega_apply(BivariateSeries({(1, 0): 1, (1, 1): -1}), omega_rule())
-    assert cancelled.coeffs == {(1, 1): -1, (1, 2): -1}
+    assert label_series(6).rows == v_triangle(6).rows
+    # rows run in increasing k, as in every Triangle
+    assert all(list(row) == sorted(row) for row in label_series(6).rows)
+    with pytest.raises(ValueError):
+        label_series(-1)
 
 
 def test_functional_equation_residual_vanishes():
@@ -160,6 +148,32 @@ def test_pde_residual_vanishes_under_shifted_exponent():
     assert tried["label"] is not None
     assert tried["label-plus-one"] is None
     assert "label-plus-one" in str(report)
+
+
+@pytest.mark.parametrize(
+    "word, first_bad", [((3, 1, 4, 2), ((4, 2), -1)), ((1,), ((1, 0), -1))], ids=["3142", "1"]
+)
+def test_functional_equation_reports_a_mislabelled_word(monkeypatch, word, first_bad):
+    # the word's label read one too high moves it from u^k to u^(k+1) in
+    # its row, and the residual's first term is the word missing at u^k
+    monkeypatch.setattr(counting, "label", lambda w: label(w) + (1 if w == word else 0))
+    report = check_functional_equation(6)
+    assert not report.ok
+    assert report.first_bad == first_bad
+
+
+def test_pde_reports_a_wrong_census_entry(monkeypatch):
+    rows = [dict(row) for row in v_triangle(6).rows]
+    rows[4][1] += 1
+    monkeypatch.setattr(counting, "v_triangle", lambda n_max: Triangle(tuple(rows)))
+    report = check_pde(6)
+    assert not report.ok
+    assert report.tried == (
+        ("label-plus-one", ((4, 2), 1)),
+        ("label", ((1, 0), 1)),
+        ("label-plus-one-with-empty", ((0, 0), 1)),
+        ("label-with-empty", ((0, 0), 1)),
+    )
 
 
 def test_check_pde_builds_the_census_once(monkeypatch):
@@ -211,6 +225,19 @@ def test_large_recurrence_outputs_are_unchanged(capsys, argv):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == LARGE_OUTPUTS[argv]
+
+
+def test_counts_hold_no_triangle(capsys, monkeypatch):
+    # the counting sequence sums the rule's rows as they come
+    def refuse(n_max):
+        raise AssertionError("count built the u triangle")
+
+    monkeypatch.setattr(counting, "u_triangle", refuse)
+    argv = ("count", "--n", "400")
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_OUTPUTS[argv]
+    assert count_avoiders(9) == COUNTS[9]
 
 
 @pytest.mark.parametrize(
