@@ -16,14 +16,14 @@ child, the old minimum keeps code n and the new minimum takes code n + 1.
 Children produced by ``MoveAll`` and ``Partial`` place the new minimum after
 the old one (the entry 2 of the child precedes its 1), ``Insert`` children
 do the opposite.  ``_walk`` applies the moves down the tree with an explicit
-stack; ``expand`` is one step of it and ``gentree.generate_level`` the whole
-walk to a given length.
+stack and yields each leaf as it reaches it; ``expand`` is one step of it
+and ``gentree.iter_level`` the whole walk to a given length.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .blocks import decompose
 from .perms import Perm
@@ -118,10 +118,9 @@ def _children(
     return out
 
 
-def _walk(starts: list[_State], n: int) -> list[Perm]:
-    """Descendants of length n of the walk states, in depth-first tree
-    order."""
-    out: list[Perm] = []
+def _walk(starts: list[_State], n: int) -> Iterator[Perm]:
+    """Descendants of length n of the walk states, yielded in depth-first
+    tree order."""
     stack = starts[::-1]
     while stack:
         length, prefix, runs = stack.pop()
@@ -132,8 +131,7 @@ def _walk(starts: list[_State], n: int) -> list[Perm]:
         for run in runs:
             flat += run
         top = length + 1
-        out.append(tuple([top - code for code in flat]))
-    return out
+        yield tuple([top - code for code in flat])
 
 
 def expand(word: Sequence[int]) -> list[tuple[ChildSpec, Perm]]:

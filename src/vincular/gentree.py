@@ -11,9 +11,12 @@ tree (root at level 1) holds the avoiders of length n exactly once, and
 ``SuccessionRule.levels`` gives the multiset of their labels one suffix
 sum per level; the triangles of ``counting`` are read from it.
 
-``generate_level`` is ``eco._walk`` from the root: an explicit stack of
+``iter_level`` is ``eco._walk`` from the root: an explicit stack of
 nodes kept as their last block's runs and the word before it, each child
-built from its move without re-checking avoidance or decomposing again.
+built from its move without re-checking avoidance or decomposing again,
+and each avoider yielded as the walk reaches it.  ``generate`` and
+``count --method tree`` stream from it without holding a level;
+``generate_level`` lists it.
 ``verify_labelling`` builds each node's child states once, turns them into
 words by the same walk and labels each word once.  ``eco.expand`` is one
 step of the walk behind validation of its input; the dot and json exports
@@ -106,15 +109,26 @@ def level_label_counts(rule: SuccessionRule, n: int) -> dict[int, int]:
     return next(islice(rule.levels(), n, None))
 
 
+def iter_level(n: int) -> Iterator[Perm]:
+    """The avoiders of length n, yielded one by one in depth-first tree
+    order.  n is checked here, at the call, not at the first ``next``.
+
+    >>> words = iter_level(3)
+    >>> next(words), sum(1 for _ in words)
+    ((3, 2, 1), 5)
+    """
+    if n < 1:
+        raise ValueError(f"level must be positive: {n}")
+    return _walk([_ROOT], n)
+
+
 def generate_level(n: int) -> list[Perm]:
     """All avoiders of length n, in depth-first tree order.
 
     >>> generate_level(3)
     [(3, 2, 1), (3, 1, 2), (2, 3, 1), (2, 1, 3), (1, 2, 3), (1, 3, 2)]
     """
-    if n < 1:
-        raise ValueError(f"level must be positive: {n}")
-    return _walk([_ROOT], n)
+    return list(iter_level(n))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -150,7 +164,7 @@ def verify_labelling(n_max: int) -> LabellingReport:
     while stack:
         state, node, node_label = stack.pop()
         children = _children(*state)
-        words = _walk(children, state[0] + 1)
+        words = list(_walk(children, state[0] + 1))
         expected = rule.productions(node_label)
         got = tuple(label(word) for word in words)
         checked += 1

@@ -88,6 +88,70 @@ def test_generate_n9_json_output_is_unchanged(capsys):
     )
 
 
+# sha256 of stdout, taken when `generate` still built the whole level and
+# printed it with writelines or json.dumps
+GENERATE_SHA256 = {
+    (8, "lines"): "6e96ae4b6e7910e3b12ca978d1a334be0b8f6f097536586ed9db740ed3459390",
+    (8, "json"): "37ffaf994ed5d90a320ebca333db8a901466fc51e1d92ec4a0736a533c022ea5",
+    (10, "lines"): "9e5baed0fc245630bdc9a0865d754a84a71444c149f16451591349fe30238ee1",
+    (10, "json"): "a2595708b28efc94b8dd5c4d5a443854dca1edb24ad9d0037580bbefc64644e4",
+}
+
+
+@pytest.mark.parametrize("fmt", ["lines", "json"])
+def test_generate_n0_fails_before_any_output(capsys, fmt):
+    code, out, err = run(capsys, "generate", "--n", "0", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert "positive" in err
+
+
+@pytest.mark.parametrize("fmt, expected", [("lines", "1\n"), ("json", "[[1]]\n")])
+def test_generate_n1(capsys, fmt, expected):
+    assert run(capsys, "generate", "--n", "1", "--format", fmt) == (0, expected, "")
+
+
+@pytest.mark.parametrize("fmt", ["lines", "json"])
+def test_generate_n8_output_is_unchanged(capsys, fmt):
+    code, out, _ = run(capsys, "generate", "--n", "8", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GENERATE_SHA256[8, fmt]
+
+
+# A child's ru_maxrss starts from the RSS of the process that spawned it,
+# about 100 MB for pytest, so a bare interpreter spawns the command and
+# reports the command's own peak (kilobytes, as Linux counts it) on stderr.
+LAUNCHER = (
+    "import os, sys; "
+    "pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ); "
+    "_, status, usage = os.wait4(pid, 0); "
+    "print(usage.ru_maxrss, file=sys.stderr); "
+    "sys.exit(os.waitstatus_to_exitcode(status))"
+)
+
+
+@pytest.mark.parametrize("fmt", ["lines", "json"])
+def test_generate_n10_streams_in_small_memory(fmt):
+    # level 10 has 1,071,704 words; holding it took 158 MB (lines) and
+    # 227 MB (json), streaming it about 20 MB
+    src = Path(vincular.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = ["-m", "vincular.cli", "generate", "--n", "10", "--format", fmt]
+    child = subprocess.Popen(
+        [sys.executable, "-I", "-S", "-c", LAUNCHER, *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    digest = hashlib.sha256()
+    while chunk := child.stdout.read(1 << 16):
+        digest.update(chunk)
+    _, err = child.communicate()
+    assert child.returncode == 0
+    assert digest.hexdigest() == GENERATE_SHA256[10, fmt]
+    assert int(err) < 64 * 1024
+
+
 @pytest.mark.parametrize("threads", ["0", "-5"])
 def test_threads_below_one_rejected_at_parse_time(capsys, threads):
     with pytest.raises(SystemExit) as exc:

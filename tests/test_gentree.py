@@ -14,6 +14,7 @@ from vincular.eco import expand, reduce
 from vincular.gentree import (
     export_tree,
     generate_level,
+    iter_level,
     lambda_rule,
     level_label_counts,
     omega_rule,
@@ -104,6 +105,20 @@ def test_generate_level_counts():
         assert len(generate_level(n)) == counts[n]
     with pytest.raises(ValueError):
         generate_level(0)
+
+
+def test_iter_level_yields_generate_level():
+    for n in range(1, 9):
+        words = iter_level(n)
+        assert not isinstance(words, list)
+        assert list(words) == generate_level(n)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_iter_level_checks_n_at_the_call(n):
+    # a lazy check would let `generate --n 0` open its output before failing
+    with pytest.raises(ValueError, match="positive"):
+        iter_level(n)
 
 
 def test_generate_level_is_validating_expand_level_by_level():
