@@ -75,10 +75,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
         values = [1] + [sum(1 for _ in gentree.iter_level(n)) for n in range(1, args.n + 1)]
     elif args.method == "brute":
         _check_cap(args.n, brute.ENUMERATION_CAP, "brute counting", args.force)
-        values = [
-            len(brute.brute_avoiders(pattern, n, workers=args.threads, force=args.force))
-            for n in range(args.n + 1)
-        ]
+        levels = brute.avoider_levels(pattern, args.n, workers=args.threads, force=args.force)
+        values = [len(level) for level in levels]
     else:
         if pattern != PATTERN:
             raise ValueError(f"the continued fraction is specific to {PATTERN}")
@@ -112,11 +110,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_triangle(args: argparse.Namespace) -> int:
     if args.which == "census":
-        if args.n < 0:
-            raise ValueError(f"length must be nonnegative: {args.n}")
         _check_cap(args.n, CENSUS_CAP, "brute census", args.force)
-        rows = (brute.brute_census(PATTERN, n, force=args.force) for n in range(1, args.n + 1))
-        triangle = counting.Triangle(({}, *rows))
+        levels = brute.avoider_levels(PATTERN, args.n, force=args.force)
+        label = brute.STATISTICS["label"]
+        triangle = counting.Triangle(({}, *(brute.histogram(label, level) for level in levels[1:])))
     else:
         _check_cap(args.n, RECURRENCE_CAP, f"triangle {args.which}", args.force)
         triangle = (counting.u_triangle if args.which == "u" else counting.v_triangle)(args.n)

@@ -7,6 +7,7 @@ from vincular.blocks import PATTERN
 from vincular.brute import (
     ENUMERATION_CAP,
     _filter_avoiders,
+    avoider_levels,
     brute_avoiders,
     brute_census,
     oracle_diff,
@@ -57,6 +58,34 @@ def test_search_equals_filter_small_patterns():
 def test_search_equals_filter_longer_words(text, n):
     pattern = parse_dashed_pattern(text)
     assert brute_avoiders(pattern, n) == _filter_avoiders(pattern, n)
+
+
+# the three patterns the benchmark counts, and edge cases: a length-1
+# pattern prunes at the root, and 12 or 21 leave one avoider per length
+LEVEL_PATTERNS = ["1-32-4", "1-23-4", "31-4-2", "1", "12", "21", "1-2"]
+
+
+@pytest.mark.parametrize("text", LEVEL_PATTERNS)
+def test_avoider_levels_equal_filter(text):
+    pattern = parse_dashed_pattern(text)
+    assert avoider_levels(pattern, 7) == [_filter_avoiders(pattern, n) for n in range(8)]
+
+
+@pytest.mark.parametrize("text", ["1-32-4", "1-23-4", "31-4-2", "1", "12"])
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("n_max", [7, 8])
+def test_avoider_levels_pool_equals_serial(text, workers, n_max):
+    # "1" leaves no avoider of length 3 to seed the pool with, "12" one
+    pattern = parse_dashed_pattern(text)
+    assert avoider_levels(pattern, n_max, workers=workers) == avoider_levels(pattern, n_max)
+
+
+def test_avoider_levels_guards():
+    with pytest.raises(ValueError):
+        avoider_levels(PATTERN, -1)
+    with pytest.raises(ValueError):
+        avoider_levels(PATTERN, ENUMERATION_CAP + 1)
+    assert avoider_levels(PATTERN, 0) == [[()]]
 
 
 def test_search_pool_equals_serial():

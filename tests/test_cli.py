@@ -168,11 +168,16 @@ def test_count_negative_n(capsys, method):
     assert "nonnegative" in err
 
 
-def test_count_brute_cap_before_any_level(capsys, monkeypatch):
+def refuse_brute_search(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("brute_avoiders ran although n is past the cap")
+        raise AssertionError("the brute search ran although n is past the cap")
 
+    monkeypatch.setattr(brute, "avoider_levels", refuse)
     monkeypatch.setattr(brute, "brute_avoiders", refuse)
+
+
+def test_count_brute_cap_before_any_level(capsys, monkeypatch):
+    refuse_brute_search(monkeypatch)
     n = brute.ENUMERATION_CAP + 1
     code, out, err = run(capsys, "count", "--method", "brute", "--n", str(n))
     assert code == 2
@@ -238,9 +243,11 @@ def test_triangle_census_rejects_negative_n(capsys):
     assert run(capsys, "triangle", "--which", "census", "--n", "0") == (0, "n,k,value\n", "")
 
 
-def test_triangle_census_cap(capsys):
-    code, _, err = run(capsys, "triangle", "--which", "census", "--n", "10")
+def test_triangle_census_cap(capsys, monkeypatch):
+    refuse_brute_search(monkeypatch)
+    code, out, err = run(capsys, "triangle", "--which", "census", "--n", "10")
     assert code == 2
+    assert out == ""
     assert "--force" in err
 
 
