@@ -20,10 +20,10 @@ from .blocks import PATTERN
 from .eco import expand, reduce
 from .perms import parse_dashed_pattern
 
-# `generate` streams the walk and holds no level: n = 10 takes about 1.2 s
-# and 20 MB for 22 MB of lines (35 MB of json), n = 11 about 10 s and 20 MB
-# for 205 MB of lines (317 MB of json).  Each level past that is about 8x
-# the text and the time.
+# `generate` streams the walk and holds no level: on one CPU of a 2-vCPU
+# x86-64 host, n = 10 takes about 0.8 s and 20 MB for 22 MB of lines (35 MB
+# of json), n = 11 about 6-8 s and 20 MB for 205 MB of lines (317 MB of
+# json).  Each level past that is about 8x the text and the time.
 GENERATE_CAP = 11
 # Words formatted per write: with PYTHONUNBUFFERED set, a write per line
 # reaches the pipe as its own system call.

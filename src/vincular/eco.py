@@ -17,7 +17,10 @@ Children produced by ``MoveAll`` and ``Partial`` place the new minimum after
 the old one (the entry 2 of the child precedes its 1), ``Insert`` children
 do the opposite.  ``_walk`` applies the moves down the tree with an explicit
 stack and yields each leaf as it reaches it; ``expand`` is one step of it
-and ``gentree.iter_level`` the whole walk to a given length.
+and ``gentree.iter_level`` the whole walk to a given length.  Child states
+are built only for nodes the walk descends into: ``_leaves`` turns a node
+one level short of the end straight into its children's words, each a few
+slices of the node's values, and most nodes of a level are such leaves.
 """
 
 from __future__ import annotations
@@ -118,20 +121,51 @@ def _children(
     return out
 
 
-def _walk(starts: list[_State], n: int) -> Iterator[Perm]:
-    """Descendants of length n of the walk states, yielded in depth-first
-    tree order."""
-    stack = starts[::-1]
+def _leaves(
+    length: int, prefix: tuple[int, ...], runs: tuple[tuple[int, ...], ...]
+) -> list[Perm]:
+    """Child words of a walk state, in the order of ``_children``, with no
+    child state built: each is a few slices of the parent's values, in
+    which the old minimum becomes 2 and the new minimum 1."""
+    top = length + 2
+    flat: tuple[int, ...] = ()
+    off = [0]  # off[p] is where run p starts in flat, off[k] its length
+    for run in runs:
+        flat += run
+        off.append(len(flat))
+    pv = tuple([top - code for code in prefix])
+    f = tuple([top - code for code in flat])
+    k = len(runs)
+    head = pv + (2,)
+    out: list[Perm] = []
+    for i in range(k):  # Partial(i, r - cut + 1): run r jumps before the 1
+        cut = k - i - 1
+        a = off[cut]
+        left = head + f[:a]
+        for r in range(cut, k):
+            s, e = off[r], off[r + 1]
+            out.append(left + f[s:e] + (1,) + f[a:s] + f[e:])
+    out.append(head + (1,) + f)  # MoveAll
+    lead = pv + (1,)
+    for o in off:  # Insert: the 2 goes before each run in turn, then last
+        out.append(lead + f[:o] + (2,) + f[o:])
+    return out
+
+
+def _walk(n: int) -> Iterator[Perm]:
+    """The tree's nodes of length n >= 1, yielded in depth-first tree
+    order.  Nodes one short of n yield their children's words straight
+    from ``_leaves``, so no state of length n is built."""
+    if n == 1:
+        yield (1,)
+        return
+    stack = [_ROOT]
     while stack:
         length, prefix, runs = stack.pop()
-        if length < n:
+        if length < n - 1:
             stack.extend(reversed(_children(length, prefix, runs)))
-            continue
-        flat = prefix + (length,)
-        for run in runs:
-            flat += run
-        top = length + 1
-        yield tuple([top - code for code in flat])
+        else:
+            yield from _leaves(length, prefix, runs)
 
 
 def expand(word: Sequence[int]) -> list[tuple[ChildSpec, Perm]]:
@@ -157,4 +191,4 @@ def expand(word: Sequence[int]) -> list[tuple[ChildSpec, Perm]]:
     specs: list[ChildSpec] = [Partial(i, j) for i in range(k) for j in range(1, i + 2)]
     specs.append(MoveAll())
     specs.extend(Insert(p) for p in range(1, k + 2))
-    return list(zip(specs, _walk(_children(len(w), prefix, runs), top), strict=True))
+    return list(zip(specs, _leaves(len(w), prefix, runs), strict=True))

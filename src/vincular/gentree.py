@@ -14,13 +14,14 @@ sum per level; the triangles of ``counting`` are read from it.
 ``iter_level`` is ``eco._walk`` from the root: an explicit stack of
 nodes kept as their last block's runs and the word before it, each child
 built from its move without re-checking avoidance or decomposing again,
-and each avoider yielded as the walk reaches it.  ``generate`` and
-``count --method tree`` stream from it without holding a level;
-``generate_level`` lists it.
-``verify_labelling`` builds each node's child states once, turns them into
-words by the same walk and labels each word once.  ``eco.expand`` is one
-step of the walk behind validation of its input; the dot and json exports
-use it.
+and each avoider yielded as the walk reaches it.  The last level is never
+pushed: a node of length n - 1 yields its children's words by slicing
+(``eco._leaves``).  ``generate`` and ``count --method tree`` stream from
+it without holding a level; ``generate_level`` lists it.
+``verify_labelling`` reads each node's child words from ``eco._leaves``
+and labels each word once; it builds child states only for the nodes it
+descends into, those shorter than n_max.  ``eco.expand`` is one step of
+the walk behind validation of its input; the dot and json exports use it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 from itertools import accumulate, islice
 from typing import Iterator
 
-from .eco import _ROOT, _children, _walk, expand
+from .eco import _ROOT, _children, _leaves, _walk, expand
 from .perms import Perm, label
 
 ROOT: Perm = (1,)
@@ -119,7 +120,7 @@ def iter_level(n: int) -> Iterator[Perm]:
     """
     if n < 1:
         raise ValueError(f"level must be positive: {n}")
-    return _walk([_ROOT], n)
+    return _walk(n)
 
 
 def generate_level(n: int) -> list[Perm]:
@@ -163,15 +164,14 @@ def verify_labelling(n_max: int) -> LabellingReport:
     stack = [(_ROOT, ROOT, rule.axiom)]
     while stack:
         state, node, node_label = stack.pop()
-        children = _children(*state)
-        words = list(_walk(children, state[0] + 1))
+        words = _leaves(*state)
         expected = rule.productions(node_label)
         got = tuple(label(word) for word in words)
         checked += 1
         if got != expected:
             return LabellingReport(False, checked, (node, expected, got))
         if state[0] < n_max:
-            stack.extend(zip(children, words, got))
+            stack.extend(zip(_children(*state), words, got))
     return LabellingReport(True, checked, None)
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from vincular import perms
-from vincular.eco import Insert, MoveAll, Partial, expand, reduce
+from vincular.eco import _ROOT, Insert, MoveAll, Partial, _children, _leaves, expand, reduce
 from vincular.gentree import verify_labelling
 from vincular.perms import label
 
@@ -102,3 +102,27 @@ def test_no_generic_search_behind_expand_or_reduce(brute_levels, monkeypatch):
             if n > 1:
                 reduce(w)
     assert verify_labelling(5).ok
+
+
+def _slow_leaves(length, prefix, runs):
+    # reference: each child state built, flattened and converted on its own
+    words = []
+    for child_length, child_prefix, child_runs in _children(length, prefix, runs):
+        flat = child_prefix + (child_length,)
+        for run in child_runs:
+            flat += run
+        words.append(tuple(child_length + 1 - code for code in flat))
+    return words
+
+
+def test_leaves_are_the_flattened_child_states():
+    states = [_ROOT]
+    checked = 0
+    while states:
+        state = states.pop()
+        assert _leaves(*state) == _slow_leaves(*state), state
+        checked += 1
+        if state[0] < 7:
+            states.extend(_children(*state))
+    # every walk state of length 1..7
+    assert checked == 1 + 2 + 6 + 23 + 105 + 549 + 3207

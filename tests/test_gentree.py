@@ -127,6 +127,33 @@ def test_generate_level_is_validating_expand_level_by_level():
         assert generate_level(n) == reference
 
 
+def _count_children(monkeypatch):
+    children = eco._children
+    calls = [0]
+
+    def counted(*state):
+        calls[0] += 1
+        return children(*state)
+
+    monkeypatch.setattr(eco, "_children", counted)
+    monkeypatch.setattr(gentree, "_children", counted)
+    return calls
+
+
+def test_walk_builds_no_state_for_the_last_level(monkeypatch):
+    # child states are built only for nodes the walk descends into: the
+    # 3,893 avoiders of length 1..7, not the 20,577 of length 8
+    calls = _count_children(monkeypatch)
+    assert sum(1 for _ in iter_level(9)) == 143239
+    assert calls[0] == 3893
+
+
+def test_verify_labelling_builds_no_state_for_the_last_level(monkeypatch):
+    calls = _count_children(monkeypatch)
+    assert verify_labelling(8).nodes_checked == 24470
+    assert calls[0] == 3893
+
+
 def test_pool_modules_bind_process_pool_executor(monkeypatch):
     # perfbench/tracing.py patches ProcessPoolExecutor in both modules to
     # time their pools, and its traced runs fail if either binding is gone,
