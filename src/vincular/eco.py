@@ -10,17 +10,15 @@ builds the whole class as a tree.
 ``blocks.decompose``, and read what they need straight off the word and its
 blocks.
 
-Only the walk and ``expand`` use codes: an entry v of a word of length n is
-stored as n + 1 - v, so the parent's entries keep their codes in every
-child, the old minimum keeps code n and the new minimum takes code n + 1.
-Children produced by ``MoveAll`` and ``Partial`` place the new minimum after
-the old one (the entry 2 of the child precedes its 1), ``Insert`` children
-do the opposite.  ``_walk`` applies the moves down the tree with an explicit
-stack and yields each leaf as it reaches it; ``expand`` is one step of it
-and ``gentree.iter_level`` the whole walk to a given length.  Child states
-are built only for nodes the walk descends into: ``_leaves`` turns a node
-one level short of the end straight into its children's words, each a few
-slices of the node's values, and most nodes of a level are such leaves.
+A tree node is its word and nothing else.  ``_children`` is the one place
+the moves are applied: it moves the word up by one, so the old minimum
+becomes 2 and the new minimum 1, and slices each child out of it.  Children
+produced by ``MoveAll`` and ``Partial`` place the new minimum after the old
+one (the entry 2 of the child precedes its 1), ``Insert`` children do the
+opposite.  ``_walk`` applies ``_children`` down the tree with an explicit
+stack and yields each word of the last level as it comes, without pushing
+it; ``expand`` is one step of it behind validation of its input and
+``gentree.iter_level`` the whole walk to a given length.
 """
 
 from __future__ import annotations
@@ -88,55 +86,29 @@ def reduce(word: Sequence[int]) -> Perm:
     return tuple([v - 1 for v in flat])
 
 
-# A walk state (length, prefix, runs) is a tree node stored as its
-# decomposition: ``prefix`` is the word before the head of the last block and
-# ``runs`` are the increasing runs of that block, all as codes
-# length + 1 - value.  The head itself is the old minimum, code length.
-_State = tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]
-_ROOT: _State = (1, (), ())  # the single letter 1
+def _children(word: Perm) -> list[Perm]:
+    """Child words of a tree node, in canonical order, built from the moves
+    alone: every child of an avoider is an avoider, so nothing is checked
+    or decomposed again.
 
-
-def _children(
-    length: int, prefix: tuple[int, ...], runs: tuple[tuple[int, ...], ...]
-) -> list[_State]:
-    """Child states in canonical order, built from the moves alone: every
-    child of an avoider is an avoider, so nothing is checked or decomposed
-    again."""
-    old, new = length, length + 1
-    k = len(runs)
-    out: list[_State] = []
-    for i in range(k):
-        # Partial(i, j): run j of the last i+1 runs joins the prefix
-        cut = k - i - 1
-        head = prefix + (old,)
-        for run in runs[:cut]:
-            head += run
-        tail = runs[cut:]
-        for j in range(i + 1):
-            out.append((new, head + tail[j], tail[:j] + tail[j + 1 :]))
-    out.append((new, prefix + (old,), runs))  # MoveAll
-    for p in range(k):  # Insert(p + 1): the old minimum heads run p + 1
-        out.append((new, prefix, runs[:p] + ((old,) + runs[p],) + runs[p + 1 :]))
-    out.append((new, prefix, runs + ((old,),)))  # Insert(k + 1)
-    return out
-
-
-def _leaves(
-    length: int, prefix: tuple[int, ...], runs: tuple[tuple[int, ...], ...]
-) -> list[Perm]:
-    """Child words of a walk state, in the order of ``_children``, with no
-    child state built: each is a few slices of the parent's values, in
-    which the old minimum becomes 2 and the new minimum 1."""
-    top = length + 2
-    flat: tuple[int, ...] = ()
-    off = [0]  # off[p] is where run p starts in flat, off[k] its length
-    for run in runs:
-        flat += run
-        off.append(len(flat))
-    pv = tuple([top - code for code in prefix])
-    f = tuple([top - code for code in flat])
-    k = len(runs)
-    head = pv + (2,)
+    The letters after the 1 are the last block, and its increasing runs
+    break exactly at the descents there.  Each child is a few slices of
+    the word moved up by one, in which the old minimum becomes 2 and the
+    new minimum 1.
+    """
+    one = word.index(1)
+    up = tuple([v + 1 for v in word])
+    head = up[: one + 1]  # up to the old minimum, now 2
+    f = up[one + 1 :]  # the last block's runs
+    off = [0]  # off[p] is where run p starts in f, off[k] its length
+    prev = 0
+    for pos, v in enumerate(f):
+        if v < prev:
+            off.append(pos)
+        prev = v
+    if f:
+        off.append(len(f))
+    k = len(off) - 1
     out: list[Perm] = []
     for i in range(k):  # Partial(i, r - cut + 1): run r jumps before the 1
         cut = k - i - 1
@@ -146,7 +118,7 @@ def _leaves(
             s, e = off[r], off[r + 1]
             out.append(left + f[s:e] + (1,) + f[a:s] + f[e:])
     out.append(head + (1,) + f)  # MoveAll
-    lead = pv + (1,)
+    lead = up[:one] + (1,)
     for o in off:  # Insert: the 2 goes before each run in turn, then last
         out.append(lead + f[:o] + (2,) + f[o:])
     return out
@@ -154,18 +126,18 @@ def _leaves(
 
 def _walk(n: int) -> Iterator[Perm]:
     """The tree's nodes of length n >= 1, yielded in depth-first tree
-    order.  Nodes one short of n yield their children's words straight
-    from ``_leaves``, so no state of length n is built."""
+    order.  Nodes one short of n yield their children as they come from
+    ``_children``, so the last level is never pushed."""
     if n == 1:
         yield (1,)
         return
-    stack = [_ROOT]
+    stack: list[Perm] = [(1,)]
     while stack:
-        length, prefix, runs = stack.pop()
-        if length < n - 1:
-            stack.extend(reversed(_children(length, prefix, runs)))
+        word = stack.pop()
+        if len(word) < n - 1:
+            stack.extend(reversed(_children(word)))
         else:
-            yield from _leaves(length, prefix, runs)
+            yield from _children(word)
 
 
 def expand(word: Sequence[int]) -> list[tuple[ChildSpec, Perm]]:
@@ -183,12 +155,8 @@ def expand(word: Sequence[int]) -> list[tuple[ChildSpec, Perm]]:
     Insert(p=2) (1, 3, 2)
     """
     w = tuple(word)
-    blocks = decompose(w)
-    top = len(w) + 1
-    prefix = tuple(top - v for v in w[: w.index(1)])
-    runs = tuple(tuple(top - v for v in run) for run in blocks[-1].runs)
-    k = len(runs)
+    k = len(decompose(w)[-1].runs)
     specs: list[ChildSpec] = [Partial(i, j) for i in range(k) for j in range(1, i + 2)]
     specs.append(MoveAll())
     specs.extend(Insert(p) for p in range(1, k + 2))
-    return list(zip(specs, _leaves(len(w), prefix, runs), strict=True))
+    return list(zip(specs, _children(w), strict=True))

@@ -12,16 +12,15 @@ tree (root at level 1) holds the avoiders of length n exactly once, and
 sum per level; the triangles of ``counting`` are read from it.
 
 ``iter_level`` is ``eco._walk`` from the root: an explicit stack of
-nodes kept as their last block's runs and the word before it, each child
-built from its move without re-checking avoidance or decomposing again,
-and each avoider yielded as the walk reaches it.  The last level is never
-pushed: a node of length n - 1 yields its children's words by slicing
-(``eco._leaves``).  ``generate`` and ``count --method tree`` stream from
-it without holding a level; ``generate_level`` lists it.
-``verify_labelling`` reads each node's child words from ``eco._leaves``
-and labels each word once; it builds child states only for the nodes it
-descends into, those shorter than n_max.  ``eco.expand`` is one step of
-the walk behind validation of its input; the dot and json exports use it.
+words, each node's children built by ``eco._children`` from the moves
+without re-checking avoidance or decomposing again, and each avoider
+yielded as the walk reaches it.  The last level is never pushed: a node
+of length n - 1 yields its children as they come.  ``generate`` and
+``count --method tree`` stream from it without holding a level;
+``generate_level`` lists it.  ``verify_labelling`` walks the same words,
+each node's children from one ``eco._children`` call, and labels each word
+once.  ``eco.expand`` is one step of the walk behind validation of its
+input; the dot and json exports use it.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from itertools import accumulate, islice
 from typing import Iterator
 
-from .eco import _ROOT, _children, _leaves, _walk, expand
+from .eco import _children, _walk, expand
 from .perms import Perm, label
 
 ROOT: Perm = (1,)
@@ -150,9 +149,9 @@ def verify_labelling(n_max: int) -> LabellingReport:
     of its children in canonical order are exactly the productions of its
     own label under ``omega_rule``.  n_max must be at least 1.
 
-    The nodes are walk states, built by the moves, so no node is validated
-    again; that every node avoids 1-32-4 is checked against the brute-force
-    oracle by ``verify --suite eco``.
+    The nodes are words built by the moves, so no node is validated again;
+    that every node avoids 1-32-4 is checked against the brute-force oracle
+    by ``verify --suite eco``.
     """
     if n_max < 1:
         raise ValueError(f"need at least length 1: {n_max}")
@@ -160,33 +159,33 @@ def verify_labelling(n_max: int) -> LabellingReport:
     if label(ROOT) != rule.axiom:
         return LabellingReport(False, 0, (ROOT, (rule.axiom,), (label(ROOT),)))
     checked = 0
-    # (walk state, word, label) of each node still to check
-    stack = [(_ROOT, ROOT, rule.axiom)]
+    # (word, label) of each node still to check
+    stack = [(ROOT, rule.axiom)]
     while stack:
-        state, node, node_label = stack.pop()
-        words = _leaves(*state)
+        node, node_label = stack.pop()
+        words = _children(node)
         expected = rule.productions(node_label)
         got = tuple(label(word) for word in words)
         checked += 1
         if got != expected:
             return LabellingReport(False, checked, (node, expected, got))
-        if state[0] < n_max:
-            stack.extend(zip(_children(*state), words, got))
+        if len(node) < n_max:
+            stack.extend(zip(words, got))
     return LabellingReport(True, checked, None)
 
 
-def _compact(word: Perm) -> str:
+def _dot_name(word: Perm) -> str:
     sep = "" if len(word) <= 9 else ","
-    return sep.join(str(v) for v in word)
+    return f'"{sep.join(str(v) for v in word)} ({label(word)})"'
 
 
-def _dot_lines(word: Perm, n_max: int, lines: list[str]) -> None:
-    me = f'"{_compact(word)} ({label(word)})"'
-    lines.append(f"  {me};")
+def _dot_lines(word: Perm, name: str, n_max: int, lines: list[str]) -> None:
+    lines.append(f"  {name};")
     if len(word) < n_max:
         for _, child in expand(word):
-            lines.append(f'  {me} -> "{_compact(child)} ({label(child)})";')
-            _dot_lines(child, n_max, lines)
+            child_name = _dot_name(child)
+            lines.append(f"  {name} -> {child_name};")
+            _dot_lines(child, child_name, n_max, lines)
 
 
 def _json_node(word: Perm, n_max: int) -> dict:
@@ -206,7 +205,7 @@ def export_tree(n_max: int, fmt: str = "dot", force: bool = False) -> str:
         raise ValueError(f"tree export past n={TREE_CAP} needs --force (force=True)")
     if fmt == "dot":
         lines = ["digraph gentree {", "  node [shape=box];"]
-        _dot_lines(ROOT, n_max, lines)
+        _dot_lines(ROOT, _dot_name(ROOT), n_max, lines)
         lines.append("}")
         return "\n".join(lines) + "\n"
     if fmt == "json":

@@ -1,7 +1,8 @@
 import pytest
 
 from vincular import perms
-from vincular.eco import _ROOT, Insert, MoveAll, Partial, _children, _leaves, expand, reduce
+from vincular.blocks import decompose
+from vincular.eco import Insert, MoveAll, Partial, _children, expand, reduce
 from vincular.gentree import verify_labelling
 from vincular.perms import label
 
@@ -104,25 +105,18 @@ def test_no_generic_search_behind_expand_or_reduce(brute_levels, monkeypatch):
     assert verify_labelling(5).ok
 
 
-def _slow_leaves(length, prefix, runs):
-    # reference: each child state built, flattened and converted on its own
-    words = []
-    for child_length, child_prefix, child_runs in _children(length, prefix, runs):
-        flat = child_prefix + (child_length,)
-        for run in child_runs:
-            flat += run
-        words.append(tuple(child_length + 1 - code for code in flat))
-    return words
-
-
-def test_leaves_are_the_flattened_child_states():
-    states = [_ROOT]
+def test_children_are_distinct_and_reduce_to_their_node(brute_levels):
+    # reduce and decompose share no code with the slicing in _children:
+    # reduce reads the parent off the blocks, decompose counts the runs
+    # of the last block
     checked = 0
-    while states:
-        state = states.pop()
-        assert _leaves(*state) == _slow_leaves(*state), state
-        checked += 1
-        if state[0] < 7:
-            states.extend(_children(*state))
-    # every walk state of length 1..7
+    for n in range(1, 8):
+        for word in brute_levels[n]:
+            children = _children(word)
+            assert len(set(children)) == len(children), word
+            assert all(reduce(child) == word for child in children), word
+            k = len(decompose(word)[-1].runs)
+            assert len(children) == (k + 1) * (k + 2) // 2 + 1, word
+            checked += 1
+    # every avoider of length 1..7
     assert checked == 1 + 2 + 6 + 23 + 105 + 549 + 3207

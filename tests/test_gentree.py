@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import sys
@@ -131,27 +132,27 @@ def _count_children(monkeypatch):
     children = eco._children
     calls = [0]
 
-    def counted(*state):
+    def counted(word):
         calls[0] += 1
-        return children(*state)
+        return children(word)
 
     monkeypatch.setattr(eco, "_children", counted)
     monkeypatch.setattr(gentree, "_children", counted)
     return calls
 
 
-def test_walk_builds_no_state_for_the_last_level(monkeypatch):
-    # child states are built only for nodes the walk descends into: the
-    # 3,893 avoiders of length 1..7, not the 20,577 of length 8
+def test_walk_expands_no_node_of_the_last_level(monkeypatch):
+    # _children runs once for each of the 24,470 avoiders of length 1..8
+    # and never for the 143,239 of length 9
     calls = _count_children(monkeypatch)
     assert sum(1 for _ in iter_level(9)) == 143239
-    assert calls[0] == 3893
+    assert calls[0] == 24470
 
 
-def test_verify_labelling_builds_no_state_for_the_last_level(monkeypatch):
+def test_verify_labelling_expands_each_node_once(monkeypatch):
     calls = _count_children(monkeypatch)
     assert verify_labelling(8).nodes_checked == 24470
-    assert calls[0] == 3893
+    assert calls[0] == 24470
 
 
 def test_pool_modules_bind_process_pool_executor(monkeypatch):
@@ -198,7 +199,7 @@ def test_verify_labelling_reports_the_parent_of_a_mislabelled_word(monkeypatch):
 
 
 def test_verify_labelling_decomposes_nothing(monkeypatch):
-    # the walk states are avoiders by construction, so no node is
+    # the walk's words are avoiders by construction, so no node is
     # validated again
     def decompose(word):
         raise AssertionError("decompose called")
@@ -234,6 +235,33 @@ def test_export_tree_json():
     assert [c["perm"] for c in tree["children"]] == [[2, 1], [1, 2]]
     grand = [tuple(g["perm"]) for c in tree["children"] for g in c["children"]]
     assert grand == LEVEL_3
+
+
+# sha256 of export_tree(8, fmt), taken when the dot export still labelled
+# every node but the root twice
+EXPORT_SHA256 = {
+    "dot": "ac092809329187965439f95bacd8ce4786aaf071c239ac1464c000bbecfa4b5b",
+    "json": "a2821e5633d709299eacd2f39f90258633a03f0670fbf0f8984988fdba1ceb08",
+}
+
+
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_export_tree_n8_is_unchanged(fmt):
+    assert hashlib.sha256(export_tree(8, fmt).encode()).hexdigest() == EXPORT_SHA256[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_export_tree_labels_each_node_once(monkeypatch, fmt):
+    calls = [0]
+
+    def counted(word):
+        calls[0] += 1
+        return label(word)
+
+    monkeypatch.setattr(gentree, "label", counted)
+    export_tree(8, fmt)
+    # one call for each avoider of length 1..8
+    assert calls[0] == 24470
 
 
 def test_export_tree_caps_and_errors():
