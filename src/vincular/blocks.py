@@ -16,8 +16,7 @@ run's last entry.  The run count of the last block is the tree label of
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 # ``avoids`` is unused here; perfbench/tracing.py requires this binding.
 from .perms import avoids, check_permutation, parse_dashed_pattern
@@ -25,8 +24,7 @@ from .perms import avoids, check_permutation, parse_dashed_pattern
 PATTERN = parse_dashed_pattern("1-32-4")
 
 
-@dataclasses.dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """One left-to-right minimum and the increasing runs that follow it."""
 
     minimum: int

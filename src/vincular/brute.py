@@ -17,12 +17,12 @@ Enumeration is capped at length 10 unless ``force`` is passed.
 
 from __future__ import annotations
 
-import dataclasses
 import os
+import sys
 from collections import Counter
 from collections.abc import Callable, Iterable
-from concurrent.futures import ProcessPoolExecutor
 from itertools import permutations, repeat
+from typing import NamedTuple
 
 from .blocks import PATTERN
 from .gentree import generate_level
@@ -36,6 +36,16 @@ ENUMERATION_CAP = 10
 ORACLE_CAP = 9
 
 STATISTICS = {"label": label}
+
+
+# The pool stack costs ~20 ms per command, so it loads on first access;
+# perfbench/tracing.py replaces this binding, and avoider_levels reads it.
+def __getattr__(name: str) -> type:
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _filter_avoiders(pattern: DashedPattern, n: int) -> list[Perm]:
@@ -61,10 +71,18 @@ def _grow(pattern: DashedPattern, words: list[Perm], depth: int) -> list[list[Pe
     return levels
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def pool_size(workers: int, chunks: int) -> int:
     """Processes worth starting for ``chunks`` pieces of work: at most
-    ``workers``, the number of pieces and the CPU count, and at least one."""
-    return max(1, min(workers, chunks, os.cpu_count() or 1))
+    ``workers``, the number of pieces and the CPUs this process may use,
+    and at least one."""
+    return max(1, min(workers, chunks, usable_cpus()))
 
 
 def avoider_levels(
@@ -73,8 +91,9 @@ def avoider_levels(
     """The avoiders of ``pattern`` of every length 0..n_max, each length in
     lexicographic order.
 
-    When ``workers`` > 1 and n_max > 6, a process pool searches the subtrees
-    of the length-3 avoiders; the result does not depend on ``workers``.
+    When n_max > 6 and ``pool_size`` grants more than one worker, a
+    process pool searches the subtrees of the length-3 avoiders; the result
+    does not depend on ``workers``.
 
     >>> [len(level) for level in avoider_levels(PATTERN, 5)]
     [1, 1, 2, 6, 23, 105]
@@ -83,11 +102,13 @@ def avoider_levels(
         raise ValueError(f"length must be nonnegative: {n_max}")
     if n_max > ENUMERATION_CAP and not force:
         raise ValueError(f"enumerating length {n_max} needs force=True (cap {ENUMERATION_CAP})")
-    serial = workers <= 1 or n_max <= 6
-    levels = _grow(pattern, [()], n_max if serial else 3)
-    if not serial:
+    levels = _grow(pattern, [()], min(n_max, 3))
+    size = pool_size(workers, len(levels[-1])) if n_max > 6 else 1
+    if size == 1:
+        levels += _grow(pattern, levels[-1], n_max + 1 - len(levels))[1:]
+    else:
         seeds = [[word] for word in levels[3]]
-        with ProcessPoolExecutor(max_workers=pool_size(workers, len(seeds))) as pool:
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=size) as pool:
             subtrees = list(pool.map(_grow, repeat(pattern), seeds, repeat(n_max - 3)))
         levels += [[w for subtree in subtrees for w in subtree[d]] for d in range(1, n_max - 2)]
     for level in levels:
@@ -129,8 +150,7 @@ def brute_census(
     return histogram(stat, brute_avoiders(pattern, n, force=force))
 
 
-@dataclasses.dataclass(frozen=True)
-class DiffReport:
+class DiffReport(NamedTuple):
     ok: bool
     levels: tuple[tuple[int, int, int], ...]
     missing: tuple[Perm, ...]

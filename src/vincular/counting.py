@@ -22,10 +22,10 @@ row by row off the tree's label census, a ``Triangle`` like v.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
 from collections.abc import Iterator
 from itertools import islice
+from typing import NamedTuple
 
 from .gentree import generate_level, lambda_rule, omega_rule
 from .perms import label, parse_dashed_pattern
@@ -33,8 +33,7 @@ from .perms import label, parse_dashed_pattern
 PATTERN_3142 = parse_dashed_pattern("31-4-2")
 
 
-@dataclasses.dataclass(frozen=True)
-class Triangle:
+class Triangle(NamedTuple):
     """Integer triangle stored by rows: ``rows[n]`` maps k to the entry
     (n, k) in increasing k.  Lookups read only the row asked for; entries
     outside the triangle are 0."""
@@ -183,8 +182,7 @@ def continued_fraction_series(n_max: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclasses.dataclass(frozen=True)
-class CfracComparison:
+class CfracComparison(NamedTuple):
     series: tuple[int, ...]
     counts: tuple[int, ...]
     first_mismatch: int | None
@@ -232,8 +230,7 @@ def label_series(n_max: int) -> Triangle:
     return Triangle(({-1: 1}, *map(dict, rows)))
 
 
-@dataclasses.dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     ok: bool
     order: int
     first_bad: tuple[tuple[int, int], int] | None
@@ -311,8 +308,7 @@ def _pde_first_residual(census: Triangle, convention: str) -> tuple[tuple[int, i
     return None
 
 
-@dataclasses.dataclass(frozen=True)
-class PdeReport:
+class PdeReport(NamedTuple):
     ok: bool
     convention: str | None
     order: int

@@ -23,21 +23,18 @@ it; ``expand`` is one step of it behind validation of its input and
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .blocks import decompose
 from .perms import Perm
 
 
-@dataclasses.dataclass(frozen=True)
-class MoveAll:
+class MoveAll(NamedTuple):
     """New minimum goes right after the old one, keeping every run of the
     last block behind it."""
 
 
-@dataclasses.dataclass(frozen=True)
-class Partial:
+class Partial(NamedTuple):
     """Run j of the last i+1 runs jumps in front of the new minimum; the
     other i of them stay behind it."""
 
@@ -45,8 +42,7 @@ class Partial:
     j: int
 
 
-@dataclasses.dataclass(frozen=True)
-class Insert:
+class Insert(NamedTuple):
     """New minimum becomes the head of the last block, placed just before
     its p-th run (after all runs when p is the old label plus one)."""
 

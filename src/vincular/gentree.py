@@ -25,12 +25,9 @@ input; the dot and json exports use it.
 
 from __future__ import annotations
 
-import dataclasses
 import json
-# Unused here; perfbench/tracing.py patches this binding and fails without it.
-from concurrent.futures import ProcessPoolExecutor
 from itertools import accumulate, islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .eco import _children, _walk, expand
 from .perms import Perm, label
@@ -42,8 +39,17 @@ ROOT: Perm = (1,)
 TREE_CAP = 8
 
 
-@dataclasses.dataclass(frozen=True)
-class SuccessionRule:
+# Unused here, but perfbench/tracing.py patches gentree.ProcessPoolExecutor;
+# resolved on first access, since the pool stack costs ~20 ms per command.
+def __getattr__(name: str) -> type:
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class SuccessionRule(NamedTuple):
     """Rule with axiom (a): label k produces each i in a..k exactly
     i + 1 - a times, then k + 1 once."""
 
@@ -131,8 +137,7 @@ def generate_level(n: int) -> list[Perm]:
     return list(iter_level(n))
 
 
-@dataclasses.dataclass(frozen=True)
-class LabellingReport:
+class LabellingReport(NamedTuple):
     ok: bool
     nodes_checked: int
     first_violation: tuple[Perm, tuple[int, ...], tuple[int, ...]] | None

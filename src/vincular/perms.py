@@ -14,9 +14,8 @@ middle two letters sit side by side in t.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 Perm = tuple[int, ...]
 
@@ -35,8 +34,14 @@ def check_permutation(word: Sequence[int]) -> Perm:
     return w
 
 
-@dataclasses.dataclass(frozen=True)
-class DashedPattern:
+class _Dashes(NamedTuple):
+    underlying: Perm
+    adjacency: tuple[bool, ...]
+
+
+# A subclass, so that ``__new__`` can check the fields and
+# ``_suffix_plan`` has an instance ``__dict__`` to be cached in.
+class DashedPattern(_Dashes):
     """A dashed (vincular) pattern.
 
     ``underlying`` is the classical pattern and ``adjacency[i]`` is True
@@ -44,20 +49,13 @@ class DashedPattern:
     be matched to adjacent positions.
     """
 
-    underlying: Perm
-    adjacency: tuple[bool, ...]
-
-    def __post_init__(self) -> None:
-        check_permutation(self.underlying)
-        if len(self.underlying) == 0:
+    def __new__(cls, underlying: Perm, adjacency: tuple[bool, ...]) -> DashedPattern:
+        check_permutation(underlying)
+        if len(underlying) == 0:
             raise ValueError("empty pattern")
-        if len(self.adjacency) != len(self.underlying) - 1:
-            raise ValueError(
-                f"need {len(self.underlying) - 1} adjacency flags, got {len(self.adjacency)}"
-            )
-
-    def __len__(self) -> int:
-        return len(self.underlying)
+        if len(adjacency) != len(underlying) - 1:
+            raise ValueError(f"need {len(underlying) - 1} adjacency flags, got {len(adjacency)}")
+        return super().__new__(cls, underlying, adjacency)
 
     @functools.cached_property
     def _suffix_plan(self) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -1,8 +1,13 @@
 import os
+import subprocess
+import sys
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
+import vincular
+from vincular import brute
 from vincular.blocks import PATTERN
 from vincular.brute import (
     ENUMERATION_CAP,
@@ -12,6 +17,7 @@ from vincular.brute import (
     brute_census,
     oracle_diff,
     pool_size,
+    usable_cpus,
 )
 from vincular.perms import DashedPattern, parse_dashed_pattern
 
@@ -74,8 +80,10 @@ def test_avoider_levels_equal_filter(text):
 @pytest.mark.parametrize("text", ["1-32-4", "1-23-4", "31-4-2", "1", "12"])
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("n_max", [7, 8])
-def test_avoider_levels_pool_equals_serial(text, workers, n_max):
-    # "1" leaves no avoider of length 3 to seed the pool with, "12" one
+def test_avoider_levels_pool_equals_serial(monkeypatch, text, workers, n_max):
+    # "1" leaves no avoider of length 3 to seed the pool with, "12" one, so
+    # both search serially; the others start a pool even on a one-CPU host
+    monkeypatch.setattr(brute, "usable_cpus", lambda: 4)
     pattern = parse_dashed_pattern(text)
     assert avoider_levels(pattern, n_max, workers=workers) == avoider_levels(pattern, n_max)
 
@@ -88,13 +96,60 @@ def test_avoider_levels_guards():
     assert avoider_levels(PATTERN, 0) == [[()]]
 
 
-def test_search_pool_equals_serial():
+def test_search_pool_equals_serial(monkeypatch):
+    monkeypatch.setattr(brute, "usable_cpus", lambda: 2)
     pattern = parse_dashed_pattern("31-4-2")
     assert brute_avoiders(pattern, 7, workers=2) == brute_avoiders(pattern, 7)
 
 
+class _CountedPool:
+    started = 0
+
+    def __init__(self, max_workers):
+        type(self).started += 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("cpus, workers, pools", [(1, 2, 0), (2, 1, 0), (2, 2, 1), (8, 3, 1)])
+def test_avoider_levels_starts_a_pool_only_for_two_workers(monkeypatch, cpus, workers, pools):
+    # the pool is looked up through the module attribute, so a stand-in
+    # set there is the class used
+    monkeypatch.setattr(brute, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(brute, "ProcessPoolExecutor", _CountedPool)
+    monkeypatch.setattr(_CountedPool, "started", 0)
+    assert avoider_levels(PATTERN, 7, workers=workers) == avoider_levels(PATTERN, 7)
+    assert _CountedPool.started == pools
+
+
+def test_usable_cpus_follow_the_affinity_mask():
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity on this platform")
+    # one allowed CPU, whatever os.cpu_count() says: --threads 2 gets one
+    # worker, so avoider_levels searches serially
+    code = (
+        "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+        "from vincular.brute import pool_size, usable_cpus; "
+        "print(usable_cpus(), pool_size(2, 23))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(vincular.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "1 1\n"
+
+
 def test_pool_size_is_clamped():
-    cpus = os.cpu_count() or 1
+    has_affinity = hasattr(os, "sched_getaffinity")
+    cpus = len(os.sched_getaffinity(0)) if has_affinity else os.cpu_count() or 1
+    assert usable_cpus() == cpus
     assert pool_size(10**9, 23) == min(23, cpus)
     assert pool_size(10**9, 10**9) == cpus
     assert pool_size(2, 10**9) == min(2, cpus)

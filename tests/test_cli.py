@@ -319,12 +319,20 @@ def test_verify_single_suite_json(capsys):
 
 def test_startup_imports_no_rational_arithmetic():
     # every command imports the whole package; the continued fraction is
-    # evaluated in integers, so fractions and decimal stay unloaded
+    # evaluated in integers, so fractions and decimal stay unloaded, the
+    # process pool loads only when a pool starts, and the records are
+    # NamedTuples, not dataclasses (which load inspect)
     src = Path(vincular.__file__).resolve().parents[1]
-    code = (
-        "import vincular.cli, sys; "
-        "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))"
+    unwanted = (
+        "fractions",
+        "decimal",
+        "concurrent.futures",
+        "concurrent.futures.process",
+        "multiprocessing",
+        "dataclasses",
+        "inspect",
     )
+    code = f"import vincular.cli, sys; print(sorted(m for m in {unwanted!r} if m in sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

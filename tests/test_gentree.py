@@ -173,6 +173,25 @@ def test_pool_modules_bind_process_pool_executor(monkeypatch):
     assert runner.run_pass([], trace=True) == []
 
 
+def test_traced_pool_command_times_its_pool(monkeypatch):
+    # ProcessPoolExecutor loads lazily in brute; the pool that runs must
+    # still be the TracedPool the tracer binds there
+    monkeypatch.setattr(brute, "usable_cpus", lambda: 2)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # Runner prepends src
+    runner = tracing.Runner(Path(vincular.__file__).resolve().parents[1])
+    argv = ("count", "--method", "brute", "--n", "7", "--threads", "2")
+    [(code, _, _, head)] = runner.run_pass([argv], trace=True)
+    assert (code, head) == (0, b"1\n1\n2\n6\n23\n105\n549\n3207\n")
+    metrics = runner.layer_metrics()
+    assert metrics["brute.pool.calls"] == (1, "count")
+    assert metrics["gentree.pool.calls"] == (0, "count")
+    assert brute.ProcessPoolExecutor is ProcessPoolExecutor  # the tracer undid its binding
+
+
 def test_label_census_matches_rule(brute_levels):
     for n in range(1, 8):
         census: dict[int, int] = {}
