@@ -17,19 +17,17 @@ Enumeration is capped at length 10 unless ``force`` is passed.
 
 from __future__ import annotations
 
-import os
-import sys
 from collections import Counter
 from collections.abc import Callable, Iterable
-from itertools import permutations, repeat
+from itertools import permutations
 from typing import NamedTuple
 
 from .blocks import PATTERN
 from .gentree import generate_level
 from .perms import DashedPattern, Perm, avoids, label, occurs_ending_at
 
-# `count --method brute --n 10` takes about 2.4 s and 182 MB peak RSS, all
-# levels held (4.6 s and 168 MB when each length was searched on its own).
+# `count --method brute --n 10` holds every level: 7.2-9.3 s, 178 MB peak RSS
+# on one CPU of a 2-CPU Xeon, Python 3.11 (`count --n 0` 0.12-0.17 s there).
 ENUMERATION_CAP = 10
 # oracle_diff enumerates every level up to its length twice, by tree and by
 # brute force.
@@ -38,8 +36,8 @@ ORACLE_CAP = 9
 STATISTICS = {"label": label}
 
 
-# The pool stack costs ~20 ms per command, so it loads on first access;
-# perfbench/tracing.py replaces this binding, and avoider_levels reads it.
+# Unused here, but perfbench/tracing.py patches brute.ProcessPoolExecutor;
+# resolved on first access, since the pool stack costs ~20 ms per command.
 def __getattr__(name: str) -> type:
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor
@@ -53,11 +51,11 @@ def _filter_avoiders(pattern: DashedPattern, n: int) -> list[Perm]:
     return [w for w in permutations(range(1, n + 1)) if avoids(pattern, w)]
 
 
-def _grow(pattern: DashedPattern, words: list[Perm], depth: int) -> list[list[Perm]]:
-    """The avoiders below ``words`` (all of one length m), level by level:
-    entry d holds those of length m + d, in no particular order."""
-    levels = [words]
-    for _ in range(depth):
+def _grow(pattern: DashedPattern, n_max: int) -> list[list[Perm]]:
+    """The avoiders of every length 0..n_max, level by level, each level in
+    no particular order."""
+    levels: list[list[Perm]] = [[()]]
+    for _ in range(n_max):
         children: list[Perm] = []
         for word in levels[-1]:
             m = len(word)
@@ -71,29 +69,9 @@ def _grow(pattern: DashedPattern, words: list[Perm], depth: int) -> list[list[Pe
     return levels
 
 
-def usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def pool_size(workers: int, chunks: int) -> int:
-    """Processes worth starting for ``chunks`` pieces of work: at most
-    ``workers``, the number of pieces and the CPUs this process may use,
-    and at least one."""
-    return max(1, min(workers, chunks, usable_cpus()))
-
-
-def avoider_levels(
-    pattern: DashedPattern, n_max: int, workers: int = 1, force: bool = False
-) -> list[list[Perm]]:
+def avoider_levels(pattern: DashedPattern, n_max: int, *, force: bool = False) -> list[list[Perm]]:
     """The avoiders of ``pattern`` of every length 0..n_max, each length in
-    lexicographic order.
-
-    When n_max > 6 and ``pool_size`` grants more than one worker, a
-    process pool searches the subtrees of the length-3 avoiders; the result
-    does not depend on ``workers``.
+    lexicographic order: one search from the empty word, in this process.
 
     >>> [len(level) for level in avoider_levels(PATTERN, 5)]
     [1, 1, 2, 6, 23, 105]
@@ -102,30 +80,20 @@ def avoider_levels(
         raise ValueError(f"length must be nonnegative: {n_max}")
     if n_max > ENUMERATION_CAP and not force:
         raise ValueError(f"enumerating length {n_max} needs force=True (cap {ENUMERATION_CAP})")
-    levels = _grow(pattern, [()], min(n_max, 3))
-    size = pool_size(workers, len(levels[-1])) if n_max > 6 else 1
-    if size == 1:
-        levels += _grow(pattern, levels[-1], n_max + 1 - len(levels))[1:]
-    else:
-        seeds = [[word] for word in levels[3]]
-        with sys.modules[__name__].ProcessPoolExecutor(max_workers=size) as pool:
-            subtrees = list(pool.map(_grow, repeat(pattern), seeds, repeat(n_max - 3)))
-        levels += [[w for subtree in subtrees for w in subtree[d]] for d in range(1, n_max - 2)]
+    levels = _grow(pattern, n_max)
     for level in levels:
         level.sort()
     return levels
 
 
-def brute_avoiders(
-    pattern: DashedPattern, n: int, workers: int = 1, force: bool = False
-) -> list[Perm]:
+def brute_avoiders(pattern: DashedPattern, n: int, *, force: bool = False) -> list[Perm]:
     """All avoiders of ``pattern`` of length n, in lexicographic order:
     the last level of ``avoider_levels``.
 
     >>> len(brute_avoiders(PATTERN, 4))
     23
     """
-    return avoider_levels(pattern, n, workers, force)[n]
+    return avoider_levels(pattern, n, force=force)[n]
 
 
 def histogram(stat: Callable[[Perm], int], words: Iterable[Perm]) -> dict[int, int]:
@@ -167,10 +135,10 @@ class DiffReport(NamedTuple):
         )
 
 
-def oracle_diff(n_max: int, workers: int = 1, force: bool = False) -> DiffReport:
+def oracle_diff(n_max: int, *, force: bool = False) -> DiffReport:
     """Compare the generating tree against brute enumeration, level by
     level up to length n_max (capped at ``ORACLE_CAP`` without ``force``).
-    ``workers`` goes to ``avoider_levels``; the tree is walked serially.
+    Both sides run in this process.
 
     ``missing`` holds avoiders the tree never produced, ``extra`` holds
     tree output the brute filter rejects, ``duplicates`` holds tree output
@@ -184,7 +152,7 @@ def oracle_diff(n_max: int, workers: int = 1, force: bool = False) -> DiffReport
     missing: list[Perm] = []
     extra: list[Perm] = []
     duplicates: list[Perm] = []
-    for n, brute in enumerate(avoider_levels(PATTERN, n_max, workers, force)[1:], 1):
+    for n, brute in enumerate(avoider_levels(PATTERN, n_max, force=force)[1:], 1):
         tree = generate_level(n)
         levels.append((n, len(tree), len(brute)))
         tree_set = set(tree)

@@ -41,6 +41,8 @@ RECURRENCE_CAP = 1000
 CALLAN_CAP = 300
 CFRAC_CAP = 60
 PDE_CAP = 400
+# --threads still parses, as a positive int, so existing command lines run
+THREADS_HELP = "ignored: every command runs in one process"
 
 
 def _check_cap(n: int, cap: int, what: str, force: bool) -> None:
@@ -75,7 +77,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         values = [1] + [sum(1 for _ in gentree.iter_level(n)) for n in range(1, args.n + 1)]
     elif args.method == "brute":
         _check_cap(args.n, brute.ENUMERATION_CAP, "brute counting", args.force)
-        levels = brute.avoider_levels(pattern, args.n, workers=args.threads, force=args.force)
+        levels = brute.avoider_levels(pattern, args.n, force=args.force)
         values = [len(level) for level in levels]
     else:
         if pattern != PATTERN:
@@ -126,8 +128,8 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_eco(n_max: int, workers: int, force: bool) -> tuple[bool, str]:
-    diff = brute.oracle_diff(n_max, workers=workers, force=force)
+def _verify_eco(n_max: int, force: bool) -> tuple[bool, str]:
+    diff = brute.oracle_diff(n_max, force=force)
     if not diff.ok:
         return False, str(diff)
     for n in range(1, n_max):
@@ -144,7 +146,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     results: dict[str, dict[str, object]] = {}
     for suite in wanted:
         if suite == "eco":
-            ok, detail = _verify_eco(args.n, args.threads, args.force)
+            ok, detail = _verify_eco(args.n, args.force)
         elif suite == "labelling":
             report = gentree.verify_labelling(args.n)
             ok, detail = report.ok, str(report)
@@ -179,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument(
         "--method", choices=("tree", "recurrence", "brute", "cfrac"), default="recurrence"
     )
-    count.add_argument("--threads", type=_positive_int, default=1)
+    count.add_argument("--threads", type=_positive_int, default=1, help=THREADS_HELP)
     count.add_argument("--force", action="store_true", help="lift the size caps")
     count.set_defaults(func=_cmd_count)
 
@@ -206,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite", choices=("eco", "labelling", "series", "pde", "all"), default="all"
     )
     verify.add_argument("--n", type=int, default=6)
-    verify.add_argument("--threads", type=_positive_int, default=1)
+    verify.add_argument("--threads", type=_positive_int, default=1, help=THREADS_HELP)
     verify.add_argument("--json", action="store_true", help="machine readable report")
     verify.add_argument("--force", action="store_true", help="lift the size caps")
     verify.set_defaults(func=_cmd_verify)

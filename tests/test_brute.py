@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 import vincular
-from vincular import brute
 from vincular.blocks import PATTERN
 from vincular.brute import (
     ENUMERATION_CAP,
@@ -16,9 +15,8 @@ from vincular.brute import (
     brute_avoiders,
     brute_census,
     oracle_diff,
-    pool_size,
-    usable_cpus,
 )
+from vincular.cli import main
 from vincular.perms import DashedPattern, parse_dashed_pattern
 
 # every dashed pattern of length <= 4, with every dash placement
@@ -48,8 +46,16 @@ def test_brute_avoiders_other_patterns():
     assert len(brute_avoiders(classical, 5)) == 42  # Catalan
 
 
-def test_brute_avoiders_workers_match(brute_levels):
-    assert brute_avoiders(PATTERN, 7, workers=3) == brute_levels[7]
+def _count(capsys, *argv):
+    assert main(["count", *argv]) == 0
+    return [int(line) for line in capsys.readouterr().out.splitlines()]
+
+
+def test_brute_avoiders_workers_match(capsys, brute_levels):
+    # --threads 3 once asked for three pool workers; the counts are still
+    # those of the serial levels
+    counts = _count(capsys, "--method", "brute", "--n", "7", "--threads", "3")
+    assert counts == [1] + [len(brute_levels[n]) for n in range(1, 8)]
 
 
 def test_search_equals_filter_small_patterns():
@@ -80,12 +86,12 @@ def test_avoider_levels_equal_filter(text):
 @pytest.mark.parametrize("text", ["1-32-4", "1-23-4", "31-4-2", "1", "12"])
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("n_max", [7, 8])
-def test_avoider_levels_pool_equals_serial(monkeypatch, text, workers, n_max):
-    # "1" leaves no avoider of length 3 to seed the pool with, "12" one, so
-    # both search serially; the others start a pool even on a one-CPU host
-    monkeypatch.setattr(brute, "usable_cpus", lambda: 4)
-    pattern = parse_dashed_pattern(text)
-    assert avoider_levels(pattern, n_max, workers=workers) == avoider_levels(pattern, n_max)
+def test_avoider_levels_pool_equals_serial(capsys, text, workers, n_max):
+    # the --threads values that once started a pool count what the serial
+    # search finds, for every pattern, with or without length-3 avoiders
+    argv = ("--method", "brute", "--pattern", text, "--n", str(n_max), "--threads", str(workers))
+    levels = avoider_levels(parse_dashed_pattern(text), n_max)
+    assert _count(capsys, *argv) == [len(level) for level in levels]
 
 
 def test_avoider_levels_guards():
@@ -96,65 +102,28 @@ def test_avoider_levels_guards():
     assert avoider_levels(PATTERN, 0) == [[()]]
 
 
-def test_search_pool_equals_serial(monkeypatch):
-    monkeypatch.setattr(brute, "usable_cpus", lambda: 2)
-    pattern = parse_dashed_pattern("31-4-2")
-    assert brute_avoiders(pattern, 7, workers=2) == brute_avoiders(pattern, 7)
-
-
-class _CountedPool:
-    started = 0
-
-    def __init__(self, max_workers):
-        type(self).started += 1
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return None
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
-@pytest.mark.parametrize("cpus, workers, pools", [(1, 2, 0), (2, 1, 0), (2, 2, 1), (8, 3, 1)])
-def test_avoider_levels_starts_a_pool_only_for_two_workers(monkeypatch, cpus, workers, pools):
-    # the pool is looked up through the module attribute, so a stand-in
-    # set there is the class used
-    monkeypatch.setattr(brute, "usable_cpus", lambda: cpus)
-    monkeypatch.setattr(brute, "ProcessPoolExecutor", _CountedPool)
-    monkeypatch.setattr(_CountedPool, "started", 0)
-    assert avoider_levels(PATTERN, 7, workers=workers) == avoider_levels(PATTERN, 7)
-    assert _CountedPool.started == pools
+def test_search_pool_equals_serial(capsys):
+    # the brute search under --threads 2 against the 31-4-2 recurrence
+    brute = _count(capsys, "--method", "brute", "--pattern", "31-4-2", "--n", "7", "--threads", "2")
+    assert brute == _count(capsys, "--pattern", "31-4-2", "--n", "7")
 
 
 def test_usable_cpus_follow_the_affinity_mask():
     if not hasattr(os, "sched_setaffinity"):
         pytest.skip("no CPU affinity on this platform")
-    # one allowed CPU, whatever os.cpu_count() says: --threads 2 gets one
-    # worker, so avoider_levels searches serially
+    # one allowed CPU, as in every timed benchmark command: --threads 2
+    # searches in this process and loads no pool
     code = (
-        "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
-        "from vincular.brute import pool_size, usable_cpus; "
-        "print(usable_cpus(), pool_size(2, 23))"
+        "import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+        "from vincular.cli import main; "
+        "main(['count', '--method', 'brute', '--n', '7', '--threads', '2']); "
+        "print(len(os.sched_getaffinity(0)), [m for m in sys.modules if m.startswith('concurrent')])"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(vincular.__file__).resolve().parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out == "1 1\n"
-
-
-def test_pool_size_is_clamped():
-    has_affinity = hasattr(os, "sched_getaffinity")
-    cpus = len(os.sched_getaffinity(0)) if has_affinity else os.cpu_count() or 1
-    assert usable_cpus() == cpus
-    assert pool_size(10**9, 23) == min(23, cpus)
-    assert pool_size(10**9, 10**9) == cpus
-    assert pool_size(2, 10**9) == min(2, cpus)
-    assert pool_size(1, 23) == 1
-    assert pool_size(0, 23) == 1
+    assert out == "1\n1\n2\n6\n23\n105\n549\n3207\n1 []\n"
 
 
 def test_brute_avoiders_cap():

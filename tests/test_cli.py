@@ -160,6 +160,37 @@ def test_threads_below_one_rejected_at_parse_time(capsys, threads):
     assert "--threads" in capsys.readouterr().err
 
 
+THREADS_NO_EFFECT = """
+import contextlib, io, sys
+from vincular.cli import main
+
+def out(*argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(list(argv)) == 0
+    return buf.getvalue()
+
+count = ("count", "--method", "brute", "--n", "8")
+verify = ("verify", "--n", "6", "--json")
+assert out(*count, "--threads", "4") == out(*count, "--threads", "1")
+assert out(*verify, "--threads", "2") == out(*verify, "--threads", "1")
+print(sorted(m for m in sys.modules if m.startswith("concurrent")))
+"""
+
+
+def test_threads_change_no_output_and_start_no_pool():
+    # in a fresh process, so that no other test has loaded the pool stack
+    env = {**os.environ, "PYTHONPATH": str(Path(vincular.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", THREADS_NO_EFFECT],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"
+
+
 @pytest.mark.parametrize("method", ["recurrence", "tree", "brute", "cfrac"])
 def test_count_negative_n(capsys, method):
     code, out, err = run(capsys, "count", "--n", "-1", "--method", method)
@@ -319,9 +350,9 @@ def test_verify_single_suite_json(capsys):
 
 def test_startup_imports_no_rational_arithmetic():
     # every command imports the whole package; the continued fraction is
-    # evaluated in integers, so fractions and decimal stay unloaded, the
-    # process pool loads only when a pool starts, and the records are
-    # NamedTuples, not dataclasses (which load inspect)
+    # evaluated in integers, so fractions and decimal stay unloaded, no
+    # command starts a process pool, and the records are NamedTuples, not
+    # dataclasses (which load inspect)
     src = Path(vincular.__file__).resolve().parents[1]
     unwanted = (
         "fractions",

@@ -155,40 +155,38 @@ def test_verify_labelling_expands_each_node_once(monkeypatch):
     assert calls[0] == 24470
 
 
+def _traced_runner(monkeypatch):
+    # perfbench/tracing.py's Runner over this source tree
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # Runner prepends src
+    return tracing.Runner(Path(vincular.__file__).resolve().parents[1])
+
+
 def test_pool_modules_bind_process_pool_executor(monkeypatch):
     # perfbench/tracing.py patches ProcessPoolExecutor in both modules to
     # time their pools, and its traced runs fail if either binding is gone,
-    # although gentree itself no longer starts a pool.
+    # although neither module starts a pool now.
     assert gentree.ProcessPoolExecutor is ProcessPoolExecutor
     assert brute.ProcessPoolExecutor is ProcessPoolExecutor
     # A traced pass with no commands installs every wrapper and removes it
     # again; it raises if a function in FUNCTIONS, a pool binding in POOLS
     # or a binding in REQUIRED is gone.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    monkeypatch.setattr(sys, "path", list(sys.path))  # Runner prepends src
-    runner = tracing.Runner(Path(vincular.__file__).resolve().parents[1])
+    runner = _traced_runner(monkeypatch)
     assert runner.run_pass([], trace=True) == []
 
 
 def test_traced_pool_command_times_its_pool(monkeypatch):
-    # ProcessPoolExecutor loads lazily in brute; the pool that runs must
-    # still be the TracedPool the tracer binds there
-    monkeypatch.setattr(brute, "usable_cpus", lambda: 2)
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    monkeypatch.setattr(sys, "path", list(sys.path))  # Runner prepends src
-    runner = tracing.Runner(Path(vincular.__file__).resolve().parents[1])
+    # a real command through the tracer: --threads 2 still parses, the
+    # oracle searches in this process, and the traced pool never starts
+    runner = _traced_runner(monkeypatch)
     argv = ("count", "--method", "brute", "--n", "7", "--threads", "2")
     [(code, _, _, head)] = runner.run_pass([argv], trace=True)
     assert (code, head) == (0, b"1\n1\n2\n6\n23\n105\n549\n3207\n")
     metrics = runner.layer_metrics()
-    assert metrics["brute.pool.calls"] == (1, "count")
-    assert metrics["gentree.pool.calls"] == (0, "count")
+    assert metrics["brute.pool.calls"] == (0, "count")
     assert brute.ProcessPoolExecutor is ProcessPoolExecutor  # the tracer undid its binding
 
 
