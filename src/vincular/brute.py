@@ -23,7 +23,8 @@ from itertools import permutations
 from typing import NamedTuple
 
 from .blocks import PATTERN
-from .gentree import generate_level
+# ``generate_level`` is unused here; perfbench/tracing.py requires this binding.
+from .gentree import ROOT, generate_level, walk
 from .perms import DashedPattern, Perm, avoids, label, occurs_ending_at
 
 # `count --method brute --n 10` holds every level: 7.2-9.3 s, 178 MB peak RSS
@@ -138,7 +139,7 @@ class DiffReport(NamedTuple):
 def oracle_diff(n_max: int, *, force: bool = False) -> DiffReport:
     """Compare the generating tree against brute enumeration, level by
     level up to length n_max (capped at ``ORACLE_CAP`` without ``force``).
-    Both sides run in this process.
+    Both sides run in this process, the tree as one ``gentree.walk(n_max)``.
 
     ``missing`` holds avoiders the tree never produced, ``extra`` holds
     tree output the brute filter rejects, ``duplicates`` holds tree output
@@ -152,8 +153,11 @@ def oracle_diff(n_max: int, *, force: bool = False) -> DiffReport:
     missing: list[Perm] = []
     extra: list[Perm] = []
     duplicates: list[Perm] = []
-    for n, brute in enumerate(avoider_levels(PATTERN, n_max, force=force)[1:], 1):
-        tree = generate_level(n)
+    tree_levels: list[list[Perm]] = [[ROOT]] + [[] for _ in range(n_max - 1)]
+    for node, children in walk(n_max):
+        tree_levels[len(node)] += children
+    brute_levels = avoider_levels(PATTERN, n_max, force=force)[1:]
+    for n, (tree, brute) in enumerate(zip(tree_levels, brute_levels), 1):
         levels.append((n, len(tree), len(brute)))
         tree_set = set(tree)
         brute_set = set(brute)

@@ -17,6 +17,7 @@ from itertools import islice
 
 from . import brute, counting, gentree
 from .blocks import PATTERN
+# ``expand`` is unused here; perfbench/tracing.py requires this binding.
 from .eco import expand, reduce
 from .perms import parse_dashed_pattern
 
@@ -74,7 +75,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
         if pattern != PATTERN:
             raise ValueError(f"the tree construction is specific to {PATTERN}")
         _check_cap(args.n, GENERATE_CAP, "tree counting", args.force)
-        values = [1] + [sum(1 for _ in gentree.iter_level(n)) for n in range(1, args.n + 1)]
+        # the empty word and the root; every longer word is a child in the walk
+        values = [1, 1][: args.n + 1] + [0] * (args.n - 1)
+        for node, children in gentree.walk(args.n):
+            values[len(node) + 1] += len(children)
     elif args.method == "brute":
         _check_cap(args.n, brute.ENUMERATION_CAP, "brute counting", args.force)
         levels = brute.avoider_levels(pattern, args.n, force=args.force)
@@ -132,11 +136,10 @@ def _verify_eco(n_max: int, force: bool) -> tuple[bool, str]:
     diff = brute.oracle_diff(n_max, force=force)
     if not diff.ok:
         return False, str(diff)
-    for n in range(1, n_max):
-        for parent in gentree.generate_level(n):
-            for _, child in expand(parent):
-                if reduce(child) != parent:
-                    return False, f"reduce({child}) is not {parent}"
+    for node, children in gentree.walk(n_max):
+        for child in children:
+            if reduce(child) != node:
+                return False, f"reduce({child}) is not {node}"
     return True, f"{diff}; reduce inverts expand through length {n_max}"
 
 

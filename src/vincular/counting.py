@@ -27,7 +27,8 @@ from collections.abc import Iterator
 from itertools import islice
 from typing import NamedTuple
 
-from .gentree import generate_level, lambda_rule, omega_rule
+# ``generate_level`` is unused here; perfbench/tracing.py requires this binding.
+from .gentree import ROOT, generate_level, lambda_rule, omega_rule, walk
 from .perms import label, parse_dashed_pattern
 
 PATTERN_3142 = parse_dashed_pattern("31-4-2")
@@ -218,16 +219,18 @@ def compare_cfrac_with_counts(n_max: int) -> CfracComparison:
 
 def label_series(n_max: int) -> Triangle:
     """The tree's label census in ``v_triangle``'s shape: row 0 is
-    {-1: 1} for the empty word, and row n counts the labels of
-    ``generate_level(n)`` in increasing k.
+    {-1: 1} for the empty word, and row n counts, in increasing k, the
+    labels of the words of length n in one ``gentree.walk(n_max)``.
 
     >>> label_series(3).rows
     ({-1: 1}, {0: 1}, {0: 1, 1: 1}, {0: 2, 1: 3, 2: 1})
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative: {n_max}")
-    rows = (sorted(Counter(map(label, generate_level(n))).items()) for n in range(1, n_max + 1))
-    return Triangle(({-1: 1}, *map(dict, rows)))
+    rows = [Counter([label(ROOT)])] + [Counter() for _ in range(n_max - 1)]
+    for node, children in walk(n_max):
+        rows[len(node)].update(map(label, children))
+    return Triangle(({-1: 1}, *(dict(sorted(row.items())) for row in rows[:n_max])))
 
 
 class ResidualReport(NamedTuple):

@@ -15,15 +15,13 @@ the moves are applied: it moves the word up by one, so the old minimum
 becomes 2 and the new minimum 1, and slices each child out of it.  Children
 produced by ``MoveAll`` and ``Partial`` place the new minimum after the old
 one (the entry 2 of the child precedes its 1), ``Insert`` children do the
-opposite.  ``_walk`` applies ``_children`` down the tree with an explicit
-stack and yields each word of the last level as it comes, without pushing
-it; ``expand`` is one step of it behind validation of its input and
-``gentree.iter_level`` the whole walk to a given length.
+opposite.  ``gentree.walk`` applies ``_children`` down the tree;
+``expand`` is one step of it behind validation of its input.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .blocks import decompose
 from .perms import Perm
@@ -118,22 +116,6 @@ def _children(word: Perm) -> list[Perm]:
     for o in off:  # Insert: the 2 goes before each run in turn, then last
         out.append(lead + f[:o] + (2,) + f[o:])
     return out
-
-
-def _walk(n: int) -> Iterator[Perm]:
-    """The tree's nodes of length n >= 1, yielded in depth-first tree
-    order.  Nodes one short of n yield their children as they come from
-    ``_children``, so the last level is never pushed."""
-    if n == 1:
-        yield (1,)
-        return
-    stack: list[Perm] = [(1,)]
-    while stack:
-        word = stack.pop()
-        if len(word) < n - 1:
-            stack.extend(reversed(_children(word)))
-        else:
-            yield from _children(word)
 
 
 def expand(word: Sequence[int]) -> list[tuple[ChildSpec, Perm]]:

@@ -11,25 +11,20 @@ tree (root at level 1) holds the avoiders of length n exactly once, and
 ``SuccessionRule.levels`` gives the multiset of their labels one suffix
 sum per level; the triangles of ``counting`` are read from it.
 
-``iter_level`` is ``eco._walk`` from the root: an explicit stack of
-words, each node's children built by ``eco._children`` from the moves
-without re-checking avoidance or decomposing again, and each avoider
-yielded as the walk reaches it.  The last level is never pushed: a node
-of length n - 1 yields its children as they come.  ``generate`` and
-``count --method tree`` stream from it without holding a level;
-``generate_level`` lists it.  ``verify_labelling`` walks the same words,
-each node's children from one ``eco._children`` call, and labels each word
-once.  ``eco.expand`` is one step of the walk behind validation of its
-input; the dot and json exports use it.
+``walk(n)`` is the one traversal of the tree: an explicit stack of words
+from the root, each node's children from one ``eco._children`` call, built
+from the moves without re-checking avoidance.  ``iter_level`` streams its
+last level and every other reader takes its (node, children) pairs;
+``eco.expand`` is one validated step of it, for the dot and json exports.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from typing import Iterator, NamedTuple
 
-from .eco import _children, _walk, expand
+from .eco import _children, expand
 from .perms import Perm, label
 
 ROOT: Perm = (1,)
@@ -115,6 +110,22 @@ def level_label_counts(rule: SuccessionRule, n: int) -> dict[int, int]:
     return next(islice(rule.levels(), n, None))
 
 
+def walk(n: int) -> Iterator[tuple[Perm, list[Perm]]]:
+    """Every tree node of length 1..n-1 with its children, in depth-first
+    tree order, one ``_children`` call each; no child of length n is pushed.
+
+    >>> [(node, len(children)) for node, children in walk(3)]
+    [((1,), 2), ((2, 1), 2), ((1, 2), 4)]
+    """
+    stack = [ROOT] if n > 1 else []
+    while stack:
+        node = stack.pop()
+        children = _children(node)
+        if len(node) < n - 1:
+            stack.extend(reversed(children))
+        yield node, children
+
+
 def iter_level(n: int) -> Iterator[Perm]:
     """The avoiders of length n, yielded one by one in depth-first tree
     order.  n is checked here, at the call, not at the first ``next``.
@@ -125,7 +136,9 @@ def iter_level(n: int) -> Iterator[Perm]:
     """
     if n < 1:
         raise ValueError(f"level must be positive: {n}")
-    return _walk(n)
+    if n == 1:
+        return iter([ROOT])
+    return chain.from_iterable(children for node, children in walk(n) if len(node) == n - 1)
 
 
 def generate_level(n: int) -> list[Perm]:
@@ -163,19 +176,11 @@ def verify_labelling(n_max: int) -> LabellingReport:
     rule = omega_rule()
     if label(ROOT) != rule.axiom:
         return LabellingReport(False, 0, (ROOT, (rule.axiom,), (label(ROOT),)))
-    checked = 0
-    # (word, label) of each node still to check
-    stack = [(ROOT, rule.axiom)]
-    while stack:
-        node, node_label = stack.pop()
-        words = _children(node)
-        expected = rule.productions(node_label)
-        got = tuple(label(word) for word in words)
-        checked += 1
+    for checked, (node, children) in enumerate(walk(n_max + 1), 1):
+        expected = rule.productions(label(node))
+        got = tuple(label(word) for word in children)
         if got != expected:
             return LabellingReport(False, checked, (node, expected, got))
-        if len(node) < n_max:
-            stack.extend(zip(words, got))
     return LabellingReport(True, checked, None)
 
 

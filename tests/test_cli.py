@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import vincular
-from vincular import brute, cli, counting
+from vincular import brute, cli, counting, eco, gentree
 from vincular.cli import main
 
 
@@ -36,6 +36,12 @@ def test_count_methods_agree(capsys):
     _, tree, _ = run(capsys, "count", "--n", "5", "--method", "tree")
     _, brute, _ = run(capsys, "count", "--n", "5", "--method", "brute")
     assert recurrence == tree == brute
+
+
+def test_count_tree_walk_equals_recurrence(capsys):
+    for n in range(10):
+        _, recurrence, _ = run(capsys, "count", "--n", str(n))
+        assert run(capsys, "count", "--n", str(n), "--method", "tree") == (0, recurrence, ""), n
 
 
 def test_count_brute_any_pattern(capsys):
@@ -314,6 +320,45 @@ def test_verify_all(capsys):
     lines = out.splitlines()
     assert len(lines) == 4
     assert all(": ok (" in line for line in lines)
+
+
+def _patch_children(monkeypatch, change):
+    # the tree as the walk sees it: change(node, children) -> children
+    children = eco._children
+    monkeypatch.setattr(gentree, "_children", lambda node: change(node, children(node)))
+
+
+def test_verify_fails_on_children_out_of_order(capsys, monkeypatch):
+    # the first two children of every node with four or more swap places:
+    # the labels break, the sets and the parents do not
+    _patch_children(monkeypatch, lambda node, c: [c[1], c[0], *c[2:]] if len(c) >= 4 else c)
+    code, out, _ = run(capsys, "verify", "--suite", "labelling", "--n", "6")
+    # the first such node in depth-first tree order
+    assert (code, out) == (
+        1,
+        "labelling: FAIL (labelling broken at (6, 5, 4, 3, 1, 2): "
+        "expected (0, 1, 1, 2), got (1, 0, 1, 2))\n",
+    )
+    code, out, _ = run(capsys, "verify", "--suite", "eco", "--n", "6")
+    assert code == 0
+    assert out.startswith("eco: ok (")
+
+
+def test_verify_fails_on_a_duplicated_child(capsys, monkeypatch):
+    _patch_children(monkeypatch, lambda node, c: c + c[:1] if node == (3, 2, 1) else c)
+    code, out, _ = run(capsys, "verify", "--suite", "eco", "--n", "5")
+    assert code == 1
+    assert out.startswith("eco: FAIL (") and "duplicated" in out
+    code, out, _ = run(capsys, "verify", "--suite", "series", "--n", "5")
+    assert code == 1
+    assert out.startswith("series: FAIL (functional equation: residual has")
+
+
+def test_verify_fails_on_a_wrong_reduce(capsys, monkeypatch):
+    reduce = cli.reduce
+    monkeypatch.setattr(cli, "reduce", lambda word: (9,) if word == (2, 1, 3) else reduce(word))
+    code, out, _ = run(capsys, "verify", "--suite", "eco", "--n", "5")
+    assert (code, out) == (1, "eco: FAIL (reduce((2, 1, 3)) is not (1, 2))\n")
 
 
 def test_verify_cap(capsys):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import vincular
-from vincular import brute, eco, gentree
+from vincular import brute, cli, eco, gentree
 from vincular.counting import avoider_counts
 from vincular.eco import expand, reduce
 from vincular.gentree import (
@@ -20,6 +20,7 @@ from vincular.gentree import (
     level_label_counts,
     omega_rule,
     verify_labelling,
+    walk,
 )
 from vincular.perms import label
 
@@ -128,6 +129,24 @@ def test_generate_level_is_validating_expand_level_by_level():
         assert generate_level(n) == reference
 
 
+def _expand_in_tree_order(node, n):
+    # slow reference for walk(n): the validating expand, recursively
+    if len(node) < n:
+        children = [child for _, child in expand(node)]
+        yield node, children
+        for child in children:
+            yield from _expand_in_tree_order(child, n)
+
+
+def test_walk_is_the_validating_expand_in_tree_order():
+    assert list(walk(1)) == []
+    for n in range(2, 8):
+        pairs = list(walk(n))
+        assert pairs == list(_expand_in_tree_order((1,), n))
+        # each node of length 1..n-1 once
+        assert len({node for node, _ in pairs}) == len(pairs) == sum(avoider_counts(n - 1)[1:])
+
+
 def _count_children(monkeypatch):
     children = eco._children
     calls = [0]
@@ -153,6 +172,24 @@ def test_verify_labelling_expands_each_node_once(monkeypatch):
     calls = _count_children(monkeypatch)
     assert verify_labelling(8).nodes_checked == 24470
     assert calls[0] == 24470
+
+
+# _children calls of each reader of the tree: 24,470 nodes of length 1..8
+# and 3,893 of length 1..7, each expanded once per walk
+TREE_READERS = [
+    (lambda: cli.main(["count", "--method", "tree", "--n", "9"]), 0, 24470),
+    (lambda: str(brute.oracle_diff(8)), "tree agrees with brute force through length 8", 3893),
+    # oracle_diff, reduce over every (node, children), verify_labelling(8)
+    # and label_series(8): one walk each
+    (lambda: cli.main(["verify", "--suite", "all", "--n", "8"]), 0, 24470 + 3 * 3893),
+]
+
+
+@pytest.mark.parametrize("read, result, expected", TREE_READERS, ids=["count", "oracle", "verify"])
+def test_each_reader_walks_the_tree_once(monkeypatch, capsys, read, result, expected):
+    calls = _count_children(monkeypatch)
+    assert read() == result
+    assert calls[0] == expected
 
 
 def _traced_runner(monkeypatch):
