@@ -8,7 +8,8 @@ Discrete Math. 1995).  That keeps the order and adjacency of the letters,
 so every prefix of an avoider is an avoider, each avoider of length m is
 reached once, at depth m, and a child is dropped as soon as its new letter
 ends an occurrence (``perms.occurs_ending_at``).  One search yields every
-length up to n_max, each sorted at the end.  Everything here ignores the
+length up to n_max, each in the order it finds it; only
+``brute_avoiders`` sorts its one length.  Everything here ignores the
 block structure of the class, so its output can arbitrate the fast paths;
 ``_filter_avoiders``, which filters the whole symmetric group with
 ``avoids``, is the slow reference the tests pin the search to.
@@ -27,8 +28,8 @@ from .blocks import PATTERN
 from .gentree import ROOT, generate_level, walk
 from .perms import DashedPattern, Perm, avoids, label, occurs_ending_at
 
-# `count --method brute --n 10` holds every level: 7.2-9.3 s, 178 MB peak RSS
-# on one CPU of a 2-CPU Xeon, Python 3.11 (`count --n 0` 0.12-0.17 s there).
+# `count --method brute --n 10` holds every level: 7.1-7.5 s, 174 MB peak RSS
+# on one CPU of a 2-CPU Xeon, Python 3.11 (`count --n 0` 0.11-0.15 s there).
 ENUMERATION_CAP = 10
 # oracle_diff enumerates every level up to its length twice, by tree and by
 # brute force.
@@ -52,9 +53,17 @@ def _filter_avoiders(pattern: DashedPattern, n: int) -> list[Perm]:
     return [w for w in permutations(range(1, n + 1)) if avoids(pattern, w)]
 
 
-def _grow(pattern: DashedPattern, n_max: int) -> list[list[Perm]]:
-    """The avoiders of every length 0..n_max, level by level, each level in
-    no particular order."""
+def avoider_levels(pattern: DashedPattern, n_max: int, *, force: bool = False) -> list[list[Perm]]:
+    """The avoiders of ``pattern`` of every length 0..n_max: one search from
+    the empty word, each length in the order the search finds it.
+
+    >>> [len(level) for level in avoider_levels(PATTERN, 5)]
+    [1, 1, 2, 6, 23, 105]
+    """
+    if n_max < 0:
+        raise ValueError(f"length must be nonnegative: {n_max}")
+    if n_max > ENUMERATION_CAP and not force:
+        raise ValueError(f"enumerating length {n_max} needs force=True (cap {ENUMERATION_CAP})")
     levels: list[list[Perm]] = [[()]]
     for _ in range(n_max):
         children: list[Perm] = []
@@ -70,31 +79,14 @@ def _grow(pattern: DashedPattern, n_max: int) -> list[list[Perm]]:
     return levels
 
 
-def avoider_levels(pattern: DashedPattern, n_max: int, *, force: bool = False) -> list[list[Perm]]:
-    """The avoiders of ``pattern`` of every length 0..n_max, each length in
-    lexicographic order: one search from the empty word, in this process.
-
-    >>> [len(level) for level in avoider_levels(PATTERN, 5)]
-    [1, 1, 2, 6, 23, 105]
-    """
-    if n_max < 0:
-        raise ValueError(f"length must be nonnegative: {n_max}")
-    if n_max > ENUMERATION_CAP and not force:
-        raise ValueError(f"enumerating length {n_max} needs force=True (cap {ENUMERATION_CAP})")
-    levels = _grow(pattern, n_max)
-    for level in levels:
-        level.sort()
-    return levels
-
-
 def brute_avoiders(pattern: DashedPattern, n: int, *, force: bool = False) -> list[Perm]:
     """All avoiders of ``pattern`` of length n, in lexicographic order:
-    the last level of ``avoider_levels``.
+    the last level of ``avoider_levels``, sorted.
 
     >>> len(brute_avoiders(PATTERN, 4))
     23
     """
-    return avoider_levels(pattern, n, force=force)[n]
+    return sorted(avoider_levels(pattern, n, force=force)[n])
 
 
 def histogram(stat: Callable[[Perm], int], words: Iterable[Perm]) -> dict[int, int]:
@@ -102,21 +94,15 @@ def histogram(stat: Callable[[Perm], int], words: Iterable[Perm]) -> dict[int, i
     return dict(sorted(Counter(map(stat, words)).items()))
 
 
-def brute_census(
-    pattern: DashedPattern, n: int, statistic: str = "label", force: bool = False
-) -> dict[int, int]:
-    """Histogram of a statistic over the avoiders of length n.
+def brute_census(pattern: DashedPattern, n: int, *, force: bool = False) -> dict[int, int]:
+    """Histogram of the label over the avoiders of length n.
 
     >>> brute_census(PATTERN, 4)
     {0: 6, 1: 10, 2: 6, 3: 1}
     """
-    try:
-        stat = STATISTICS[statistic]
-    except KeyError:
-        raise ValueError(f"unknown statistic {statistic!r}, have {sorted(STATISTICS)}") from None
     if n < 1:
         raise ValueError(f"census needs length at least 1: {n}")
-    return histogram(stat, brute_avoiders(pattern, n, force=force))
+    return histogram(label, avoider_levels(pattern, n, force=force)[n])
 
 
 class DiffReport(NamedTuple):
@@ -142,8 +128,9 @@ def oracle_diff(n_max: int, *, force: bool = False) -> DiffReport:
     Both sides run in this process, the tree as one ``gentree.walk(n_max)``.
 
     ``missing`` holds avoiders the tree never produced, ``extra`` holds
-    tree output the brute filter rejects, ``duplicates`` holds tree output
-    produced more than once; a sample of at most ten each is kept.
+    tree output the oracle's search rejects, ``duplicates`` holds each
+    tree output produced more than once, in the order the walk first
+    meets it; a sample of at most ten each is kept.
     """
     if n_max < 1:
         raise ValueError(f"need at least length 1: {n_max}")
@@ -153,21 +140,17 @@ def oracle_diff(n_max: int, *, force: bool = False) -> DiffReport:
     missing: list[Perm] = []
     extra: list[Perm] = []
     duplicates: list[Perm] = []
-    tree_levels: list[list[Perm]] = [[ROOT]] + [[] for _ in range(n_max - 1)]
+    tree_levels: list[Counter[Perm]] = [Counter([ROOT])] + [Counter() for _ in range(n_max - 1)]
     for node, children in walk(n_max):
-        tree_levels[len(node)] += children
+        tree_levels[len(node)].update(children)
     brute_levels = avoider_levels(PATTERN, n_max, force=force)[1:]
     for n, (tree, brute) in enumerate(zip(tree_levels, brute_levels), 1):
-        levels.append((n, len(tree), len(brute)))
-        tree_set = set(tree)
+        levels.append((n, tree.total(), len(brute)))
+        duplicates += [w for w, count in tree.items() if count > 1]
+        missing += sorted(w for w in brute if w not in tree)
         brute_set = set(brute)
-        if len(tree_set) < len(tree):
-            seen: set[Perm] = set()
-            for w in tree:
-                if w in seen and len(duplicates) < 10:
-                    duplicates.append(w)
-                seen.add(w)
-        missing.extend(sorted(brute_set - tree_set)[: max(0, 10 - len(missing))])
-        extra.extend(sorted(tree_set - brute_set)[: max(0, 10 - len(extra))])
+        extra += sorted(w for w in tree if w not in brute_set)
     ok = not missing and not extra and not duplicates
-    return DiffReport(ok, tuple(levels), tuple(missing), tuple(extra), tuple(duplicates))
+    return DiffReport(
+        ok, tuple(levels), tuple(missing[:10]), tuple(extra[:10]), tuple(duplicates[:10])
+    )

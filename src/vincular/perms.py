@@ -74,17 +74,11 @@ class DashedPattern(_Dashes):
         return tuple(lows), tuple(highs)
 
     def __str__(self) -> str:
-        if any(v > 9 for v in self.underlying):
-            parts = [str(self.underlying[0])]
-            for i, adj in enumerate(self.adjacency):
-                parts.append("," if adj else "-")
-                parts.append(str(self.underlying[i + 1]))
-        else:
-            parts = [str(self.underlying[0])]
-            for i, adj in enumerate(self.adjacency):
-                if not adj:
-                    parts.append("-")
-                parts.append(str(self.underlying[i + 1]))
+        # adjacent letters are juxtaposed, or comma separated once a value has two digits
+        join = "," if any(v > 9 for v in self.underlying) else ""
+        parts = [str(self.underlying[0])]
+        for adj, value in zip(self.adjacency, self.underlying[1:]):
+            parts += [join if adj else "-", str(value)]
         return "".join(parts)
 
 

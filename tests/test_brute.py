@@ -1,12 +1,8 @@
-import os
-import subprocess
-import sys
 from itertools import permutations, product
-from pathlib import Path
 
 import pytest
 
-import vincular
+from vincular import eco, gentree
 from vincular.blocks import PATTERN
 from vincular.brute import (
     ENUMERATION_CAP,
@@ -16,7 +12,6 @@ from vincular.brute import (
     brute_census,
     oracle_diff,
 )
-from vincular.cli import main
 from vincular.perms import DashedPattern, parse_dashed_pattern
 
 # every dashed pattern of length <= 4, with every dash placement
@@ -46,18 +41,6 @@ def test_brute_avoiders_other_patterns():
     assert len(brute_avoiders(classical, 5)) == 42  # Catalan
 
 
-def _count(capsys, *argv):
-    assert main(["count", *argv]) == 0
-    return [int(line) for line in capsys.readouterr().out.splitlines()]
-
-
-def test_brute_avoiders_workers_match(capsys, brute_levels):
-    # --threads 3 once asked for three pool workers; the counts are still
-    # those of the serial levels
-    counts = _count(capsys, "--method", "brute", "--n", "7", "--threads", "3")
-    assert counts == [1] + [len(brute_levels[n]) for n in range(1, 8)]
-
-
 def test_search_equals_filter_small_patterns():
     assert len(SMALL_PATTERNS) == 221
     for pattern in SMALL_PATTERNS:
@@ -80,18 +63,9 @@ LEVEL_PATTERNS = ["1-32-4", "1-23-4", "31-4-2", "1", "12", "21", "1-2"]
 @pytest.mark.parametrize("text", LEVEL_PATTERNS)
 def test_avoider_levels_equal_filter(text):
     pattern = parse_dashed_pattern(text)
-    assert avoider_levels(pattern, 7) == [_filter_avoiders(pattern, n) for n in range(8)]
-
-
-@pytest.mark.parametrize("text", ["1-32-4", "1-23-4", "31-4-2", "1", "12"])
-@pytest.mark.parametrize("workers", [2, 3])
-@pytest.mark.parametrize("n_max", [7, 8])
-def test_avoider_levels_pool_equals_serial(capsys, text, workers, n_max):
-    # the --threads values that once started a pool count what the serial
-    # search finds, for every pattern, with or without length-3 avoiders
-    argv = ("--method", "brute", "--pattern", text, "--n", str(n_max), "--threads", str(workers))
-    levels = avoider_levels(parse_dashed_pattern(text), n_max)
-    assert _count(capsys, *argv) == [len(level) for level in levels]
+    # the search's order is its own; brute_avoiders sorts
+    levels = [sorted(level) for level in avoider_levels(pattern, 7)]
+    assert levels == [_filter_avoiders(pattern, n) for n in range(8)]
 
 
 def test_avoider_levels_guards():
@@ -102,30 +76,6 @@ def test_avoider_levels_guards():
     assert avoider_levels(PATTERN, 0) == [[()]]
 
 
-def test_search_pool_equals_serial(capsys):
-    # the brute search under --threads 2 against the 31-4-2 recurrence
-    brute = _count(capsys, "--method", "brute", "--pattern", "31-4-2", "--n", "7", "--threads", "2")
-    assert brute == _count(capsys, "--pattern", "31-4-2", "--n", "7")
-
-
-def test_usable_cpus_follow_the_affinity_mask():
-    if not hasattr(os, "sched_setaffinity"):
-        pytest.skip("no CPU affinity on this platform")
-    # one allowed CPU, as in every timed benchmark command: --threads 2
-    # searches in this process and loads no pool
-    code = (
-        "import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
-        "from vincular.cli import main; "
-        "main(['count', '--method', 'brute', '--n', '7', '--threads', '2']); "
-        "print(len(os.sched_getaffinity(0)), [m for m in sys.modules if m.startswith('concurrent')])"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(vincular.__file__).resolve().parents[1])}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out == "1\n1\n2\n6\n23\n105\n549\n3207\n1 []\n"
-
-
 def test_brute_avoiders_cap():
     with pytest.raises(ValueError):
         brute_avoiders(PATTERN, ENUMERATION_CAP + 1)
@@ -134,8 +84,6 @@ def test_brute_avoiders_cap():
 def test_brute_census():
     assert brute_census(PATTERN, 1) == {0: 1}
     assert brute_census(PATTERN, 4) == {0: 6, 1: 10, 2: 6, 3: 1}
-    with pytest.raises(ValueError):
-        brute_census(PATTERN, 4, statistic="inversions")
     with pytest.raises(ValueError):
         brute_census(PATTERN, 0)
 
@@ -155,3 +103,32 @@ def test_oracle_diff_guards():
         oracle_diff(0)
     with pytest.raises(ValueError):
         oracle_diff(10)
+
+
+def _repeat_first_child_of_321(monkeypatch, copies):
+    # the tree as the walk sees it, with extra copies of (4, 3, 2, 1)
+    children = eco._children
+
+    def change(node):
+        c = children(node)
+        return c + c[:1] * copies if node == (3, 2, 1) else c
+
+    monkeypatch.setattr(gentree, "_children", change)
+
+
+def test_oracle_diff_lists_a_repeated_child_and_its_subtree(monkeypatch):
+    _repeat_first_child_of_321(monkeypatch, 1)
+    report = oracle_diff(5)
+    assert not report.ok
+    assert report.levels[3] == (4, 24, 23)
+    assert report.missing == report.extra == ()
+    # the copy and its two children, in the order the walk first meets them
+    assert report.duplicates == ((4, 3, 2, 1), (5, 4, 3, 2, 1), (5, 4, 3, 1, 2))
+    assert str(report) == "tree disagrees with brute force: 0 missing, 0 extra, 3 duplicated"
+
+
+def test_oracle_diff_lists_a_word_once_however_often_it_repeats(monkeypatch):
+    _repeat_first_child_of_321(monkeypatch, 2)
+    report = oracle_diff(5)
+    assert report.levels[3:] == ((4, 25, 23), (5, 109, 105))
+    assert report.duplicates == ((4, 3, 2, 1), (5, 4, 3, 2, 1), (5, 4, 3, 1, 2))

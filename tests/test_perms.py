@@ -28,8 +28,12 @@ def test_parse_dashed_pattern_blocks():
 
 
 def test_parse_dashed_pattern_round_trip():
-    for text in ("1-32-4", "31-4-2", "123", "1-2-3", "21"):
+    for text in ("1-32-4", "31-4-2", "123", "1-2-3", "21", "10,9,8,7,6,5,4,3,2-1"):
         assert str(parse_dashed_pattern(text)) == text
+    # with a value above 9 and no adjacent letters there is no comma to
+    # write; the parser reads a comma-free block digit by digit, so this
+    # spelling does not parse back
+    assert str(DashedPattern(tuple(range(1, 11)), (False,) * 9)) == "1-2-3-4-5-6-7-8-9-10"
 
 
 def test_parse_dashed_pattern_rejects_garbage():
