@@ -6,12 +6,13 @@ so the permutation reads
 
     m_1 r_11 ... r_1k_1  m_2 r_21 ... r_2k_2  ...  m_h r_h1 ... r_hk_h
 
-with every run entry larger than its block minimum.  ``decompose`` returns
-these blocks as a plain tuple of ``Block``s and decides avoidance in the
-same scan: a permutation contains 1-32-4 exactly when some run that is not
-last in its block is followed, anywhere later, by a letter larger than the
-run's last entry.  The run count of the last block is the tree label of
-``label``.
+with every run entry larger than its block minimum.  A permutation
+contains 1-32-4 exactly when some run that is not last in its block is
+followed, anywhere later, by a letter larger than the run's last entry.
+``check_avoider`` decides this in one left-to-right scan and is the one
+test of avoidance outside ``perms``; ``decompose`` runs it and returns the
+blocks as a plain tuple of ``Block``s.  The run count of the last block is
+the tree label of ``label``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 # ``avoids`` is unused here; perfbench/tracing.py requires this binding.
-from .perms import avoids, check_permutation, parse_dashed_pattern
+from .perms import Perm, avoids, check_permutation, parse_dashed_pattern
 
 PATTERN = parse_dashed_pattern("1-32-4")
 
@@ -29,6 +30,36 @@ class Block(NamedTuple):
 
     minimum: int
     runs: tuple[tuple[int, ...], ...]
+
+
+def check_avoider(word: Sequence[int]) -> Perm:
+    """Return ``word`` as a tuple, raising ValueError unless it is a
+    permutation that avoids 1-32-4.
+
+    A descent ``prev > x`` with ``x`` above the least letter so far makes
+    ``prev`` the threshold: from the letter after ``x`` on, a letter above
+    it completes an occurrence.  Each such threshold is below the one
+    before, so the scan keeps only the last.
+
+    >>> check_avoider([2, 4, 1, 3])
+    (2, 4, 1, 3)
+    >>> check_avoider((3, 5, 4, 2, 1, 6))
+    Traceback (most recent call last):
+        ...
+    ValueError: permutation contains 1-32-4: (3, 5, 4, 2, 1, 6)
+    """
+    w = check_permutation(word)
+    low = top = prev = len(w) + 1  # least letter so far, threshold, previous letter
+    for x in w:
+        if x < prev:
+            if x < low:
+                low = x
+            else:
+                top = prev
+        elif x > top:
+            raise ValueError(f"permutation contains {PATTERN}: {w}")
+        prev = x
+    return w
 
 
 def decompose(word: Sequence[int]) -> tuple[Block, ...]:
@@ -45,17 +76,14 @@ def decompose(word: Sequence[int]) -> tuple[Block, ...]:
         ...
     ValueError: permutation contains 1-32-4: (3, 5, 4, 2, 1, 6)
     """
-    w = check_permutation(word)
+    w = check_avoider(word)
     if len(w) == 0:
         raise ValueError("cannot decompose the empty permutation")
-    later = [0] * len(w)  # later[i] is the largest letter after w[i]
-    for i in range(len(w) - 1, 0, -1):
-        later[i - 1] = max(later[i], w[i])
     blocks: list[Block] = []
     minimum = w[0]
     runs: list[tuple[int, ...]] = []
     run: list[int] = []
-    for v, after in zip(w[1:], later[1:]):
+    for v in w[1:]:
         if v < minimum:
             if run:
                 runs.append(tuple(run))
@@ -65,10 +93,6 @@ def decompose(word: Sequence[int]) -> tuple[Block, ...]:
             run.append(v)
         else:
             if run:
-                # the descent run[-1] v sits above the block minimum, so a
-                # larger letter after v completes an occurrence
-                if after > run[-1]:
-                    raise ValueError(f"permutation contains {PATTERN}: {w}")
                 runs.append(tuple(run))
             run = [v]
     if run:

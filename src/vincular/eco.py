@@ -6,9 +6,11 @@ of length n+1.  Every length-(n+1) avoider arises from exactly one parent,
 and reduce inverts expand, so iterating expand from the single letter 1
 builds the whole class as a tree.
 
-``reduce`` and ``expand`` validate their input once, through
-``blocks.decompose``, and read what they need straight off the word and its
-blocks.
+``reduce`` and ``expand`` validate their input once, with the scan of
+``blocks.check_avoider``.  ``reduce`` then reads the parent straight off
+the word, and splits the letters after the 2 into runs only when 2
+precedes 1; ``expand`` counts the runs of the last block of
+``blocks.decompose``.
 
 A tree node is its word and nothing else.  ``_children`` is the one place
 the moves are applied: it moves the word up by one, so the old minimum
@@ -21,9 +23,10 @@ opposite.  ``gentree.walk`` applies ``_children`` down the tree;
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from .blocks import decompose
+from .blocks import check_avoider, decompose
 from .perms import Perm
 
 
@@ -55,8 +58,8 @@ def reduce(word: Sequence[int]) -> Perm:
 
     When 2 precedes 1 the two last blocks merge, their runs interleaved by
     decreasing maxima, and 1 disappears.  Otherwise 2 leaves its run and
-    takes over as the head of the last block.  Either way the word left
-    holds 2..n, and subtracting 1 makes it a permutation.
+    takes the place of 1 as the head of the last block.  Either way the
+    word left holds 2..n, and subtracting 1 makes it a permutation.
 
     >>> reduce((8, 4, 6, 1, 7, 5, 2, 3))
     (7, 3, 5, 1, 6, 4, 2)
@@ -66,17 +69,25 @@ def reduce(word: Sequence[int]) -> Perm:
     w = tuple(word)
     if len(w) < 2:
         raise ValueError(f"nothing to reduce: {w}")
-    blocks = decompose(w)
+    check_avoider(w)
     one, two = w.index(1), w.index(2)
     if two < one:
-        head = w[:two]
-        runs = sorted(blocks[-2].runs + blocks[-1].runs, key=lambda run: run[-1], reverse=True)
+        # the runs of the 2's block and of the 1's, split at their descents
+        runs: list[Perm] = []
+        for letters in (w[two + 1 : one], w[one + 1 :]):
+            start = 0
+            for i in range(1, len(letters)):
+                if letters[i] < letters[i - 1]:
+                    runs.append(letters[start:i])
+                    start = i
+            if letters:
+                runs.append(letters[start:])
+        runs.sort(key=itemgetter(-1), reverse=True)
+        flat = w[:two] + (2,)
+        for run in runs:
+            flat += run
     else:
-        head = w[:one]
-        runs = [run[1:] if run[0] == 2 else run for run in blocks[-1].runs]
-    flat = head + (2,)
-    for run in runs:
-        flat += run
+        flat = w[:one] + (2,) + w[one + 1 : two] + w[two + 1 :]
     return tuple([v - 1 for v in flat])
 
 

@@ -20,6 +20,7 @@ last level and every other reader takes its (node, children) pairs;
 
 from __future__ import annotations
 
+import functools
 import json
 from itertools import accumulate, chain, islice
 from typing import Iterator, NamedTuple
@@ -176,9 +177,10 @@ def verify_labelling(n_max: int) -> LabellingReport:
     rule = omega_rule()
     if label(ROOT) != rule.axiom:
         return LabellingReport(False, 0, (ROOT, (rule.axiom,), (label(ROOT),)))
+    productions = functools.cache(rule.productions)  # once per label, not per node
     for checked, (node, children) in enumerate(walk(n_max + 1), 1):
-        expected = rule.productions(label(node))
-        got = tuple(label(word) for word in children)
+        expected = productions(label(node))
+        got = tuple(map(label, children))
         if got != expected:
             return LabellingReport(False, checked, (node, expected, got))
     return LabellingReport(True, checked, None)

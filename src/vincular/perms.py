@@ -86,7 +86,9 @@ def parse_dashed_pattern(text: str) -> DashedPattern:
     """Parse dashed pattern notation.
 
     Single-digit values may be juxtaposed inside a dash-free block;
-    multi-digit values must be comma separated.
+    multi-digit values must be comma separated.  A text with a comma or
+    with at least ten blocks, as ``str`` writes a pattern with a value
+    above 9, reads every comma-free block as one value.
 
     >>> p = parse_dashed_pattern("1-32-4")
     >>> p.underlying, p.adjacency
@@ -95,19 +97,19 @@ def parse_dashed_pattern(text: str) -> DashedPattern:
     '1-32-4'
     >>> parse_dashed_pattern("31-4-2").adjacency
     (True, False, False)
+    >>> parse_dashed_pattern("1-2-3-4-5-6-7-8-9-10").underlying[-1]
+    10
     """
     blocks = text.split("-")
     if any(block == "" for block in blocks):
         raise ValueError(f"empty block in pattern: {text!r}")
+    whole = "," in text or len(blocks) >= 10
     values: list[int] = []
     adjacency: list[bool] = []
     for bi, block in enumerate(blocks):
         if bi > 0:
             adjacency.append(False)
-        if "," in block:
-            tokens = block.split(",")
-        else:
-            tokens = list(block)
+        tokens = block.split(",") if whole else list(block)
         for ti, tok in enumerate(tokens):
             if ti > 0:
                 adjacency.append(True)

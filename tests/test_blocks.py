@@ -3,6 +3,7 @@ from itertools import permutations
 import pytest
 
 from vincular.blocks import PATTERN, decompose
+from vincular.eco import reduce
 from vincular.perms import avoids, label
 
 
@@ -57,17 +58,24 @@ def test_decompose_blocks_are_well_formed(brute_levels):
                         assert run[0] < block.runs[ri - 1][-1], w
 
 
+def _error(check, word):
+    try:
+        check(word)
+    except ValueError as error:
+        return str(error)
+    return None
+
+
 def test_block_condition_agrees_with_search():
-    # decompose must reject exactly the words that plain occurrence search
-    # finds 1-32-4 in, over every permutation, not only over avoiders
+    # decompose, and reduce from length 2, must reject exactly the words
+    # that plain occurrence search finds 1-32-4 in, over every permutation,
+    # not only over avoiders, and reduce with decompose's message
     for n in range(1, 9):
         for w in permutations(range(1, n + 1)):
-            try:
-                decompose(w)
-                rejected = False
-            except ValueError:
-                rejected = True
-            assert rejected == (not avoids(PATTERN, w)), w
+            error = _error(decompose, w)
+            assert (error is not None) == (not avoids(PATTERN, w)), w
+            if n > 1:
+                assert _error(reduce, w) == error, w
 
 
 def test_block_condition_sees_past_empty_blocks():

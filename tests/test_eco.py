@@ -91,8 +91,9 @@ def test_expand_child_types(brute_levels):
 
 
 def test_no_generic_search_behind_expand_or_reduce(brute_levels, monkeypatch):
-    # expand and reduce validate through the block scan of decompose; the
-    # backtracking occurrence search must stay off that path
+    # expand (through decompose) and reduce validate with the one scan of
+    # blocks.check_avoider; the backtracking occurrence search must stay
+    # off that path
     def search(*args):
         raise AssertionError("generic occurrence search called")
 
@@ -107,8 +108,8 @@ def test_no_generic_search_behind_expand_or_reduce(brute_levels, monkeypatch):
 
 def test_children_are_distinct_and_reduce_to_their_node(brute_levels):
     # reduce and decompose share no code with the slicing in _children:
-    # reduce reads the parent off the blocks, decompose counts the runs
-    # of the last block
+    # reduce splits the letters after its 2 into runs of its own,
+    # decompose counts the runs of the last block
     checked = 0
     for n in range(1, 8):
         for word in brute_levels[n]:

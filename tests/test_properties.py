@@ -1,6 +1,7 @@
 """Property tests: random walks down the generating tree, the avoidance
 check of ``decompose`` against occurrence search on random permutations,
-the pattern parser on arbitrary text, and the README's library examples."""
+the pattern parser on its own output and on arbitrary text, and the
+README's library examples."""
 
 import doctest
 from pathlib import Path
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from vincular.blocks import PATTERN, decompose
 from vincular.eco import expand, reduce
 from vincular.gentree import ROOT, omega_rule
-from vincular.perms import avoids, label, parse_dashed_pattern
+from vincular.perms import DashedPattern, avoids, label, parse_dashed_pattern
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -51,6 +52,19 @@ def test_blocks_decide_avoidance_and_recompose(w):
         for run in block.runs:
             flat.extend(run)
     assert tuple(flat) == w
+
+
+@st.composite
+def dashed_patterns(draw, max_size=12):
+    underlying = draw(permutations(max_size))
+    adjacency = draw(st.lists(st.booleans(), min_size=len(underlying) - 1, max_size=len(underlying) - 1))
+    return DashedPattern(underlying, tuple(adjacency))
+
+
+@settings(max_examples=300, database=None, deadline=None)
+@given(dashed_patterns())
+def test_pattern_text_parses_back(pattern):
+    assert parse_dashed_pattern(str(pattern)) == pattern
 
 
 # the separators, ASCII digits, and two characters whose ``isdigit`` is
