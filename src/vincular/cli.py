@@ -42,8 +42,6 @@ RECURRENCE_CAP = 1000
 CALLAN_CAP = 300
 CFRAC_CAP = 60
 PDE_CAP = 400
-# --threads still parses, as a positive int, so existing command lines run
-THREADS_HELP = "ignored: every command runs in one process"
 
 
 def _check_cap(n: int, cap: int, what: str, force: bool) -> None:
@@ -184,26 +182,21 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument(
         "--method", choices=("tree", "recurrence", "brute", "cfrac"), default="recurrence"
     )
-    count.add_argument("--threads", type=_positive_int, default=1, help=THREADS_HELP)
-    count.add_argument("--force", action="store_true", help="lift the size caps")
     count.set_defaults(func=_cmd_count)
 
     generate = sub.add_parser("generate", help="print all avoiders of length n in tree order")
     generate.add_argument("--n", type=int, required=True)
     generate.add_argument("--format", choices=("lines", "json"), default="lines")
-    generate.add_argument("--force", action="store_true", help="lift the size caps")
     generate.set_defaults(func=_cmd_generate)
 
     triangle = sub.add_parser("triangle", help="csv dump of a refinement triangle")
     triangle.add_argument("--which", choices=("u", "v", "census"), required=True)
     triangle.add_argument("--n", type=int, required=True)
-    triangle.add_argument("--force", action="store_true", help="lift the size caps")
     triangle.set_defaults(func=_cmd_triangle)
 
     tree = sub.add_parser("tree", help="export the generating tree")
     tree.add_argument("--n", type=int, required=True)
     tree.add_argument("--format", choices=("dot", "json"), default="dot")
-    tree.add_argument("--force", action="store_true", help="lift the size caps")
     tree.set_defaults(func=_cmd_tree)
 
     verify = sub.add_parser("verify", help="run consistency suites; exit 0 only if all pass")
@@ -211,11 +204,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite", choices=("eco", "labelling", "series", "pde", "all"), default="all"
     )
     verify.add_argument("--n", type=int, default=6)
-    verify.add_argument("--threads", type=_positive_int, default=1, help=THREADS_HELP)
+    # verify-pool in perfbench/run.py passes --threads 2; it changes nothing
+    verify.add_argument(
+        "--threads", type=_positive_int, default=1, help="ignored: every command runs in one process"
+    )
     verify.add_argument("--json", action="store_true", help="machine readable report")
-    verify.add_argument("--force", action="store_true", help="lift the size caps")
     verify.set_defaults(func=_cmd_verify)
 
+    for subparser in (count, generate, triangle, tree, verify):
+        subparser.add_argument("--force", action="store_true", help="lift the size caps")
     return parser
 
 

@@ -11,11 +11,11 @@ tree (root at level 1) holds the avoiders of length n exactly once, and
 ``SuccessionRule.levels`` gives the multiset of their labels one suffix
 sum per level; the triangles of ``counting`` are read from it.
 
-``walk(n)`` is the one traversal of the tree: an explicit stack of words
-from the root, each node's children from one ``eco._children`` call, built
-from the moves without re-checking avoidance.  ``iter_level`` streams its
-last level and every other reader takes its (node, children) pairs;
-``eco.expand`` is one validated step of it, for the dot and json exports.
+``walk(n)`` is the traversal every level reader uses: an explicit stack of
+words from the root, each node's children from one ``eco._children`` call,
+built from the moves without re-checking avoidance.  ``iter_level`` streams
+its last level and the other readers take its (node, children) pairs; the
+dot and json exports recurse through the validated ``eco.expand`` instead.
 """
 
 from __future__ import annotations

@@ -116,7 +116,7 @@ def parse_dashed_pattern(text: str) -> DashedPattern:
             if not tok.isdigit() or int(tok) == 0:
                 raise ValueError(f"bad value {tok!r} in pattern: {text!r}")
             values.append(int(tok))
-    return DashedPattern(check_permutation(values), tuple(adjacency))
+    return DashedPattern(tuple(values), tuple(adjacency))
 
 
 def _search(pattern: DashedPattern, word: Sequence[int], chosen: list[int]) -> Iterator[tuple[int, ...]]:

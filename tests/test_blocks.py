@@ -28,7 +28,7 @@ def test_decompose_rejects_non_permutation():
         decompose(())
 
 
-def test_recompose_round_trip(brute_levels):
+def test_blocks_written_out_give_the_word_back(brute_levels):
     # the blocks, written out in order, give the word back
     for level in brute_levels.values():
         for w in level:

@@ -161,9 +161,33 @@ def test_generate_n10_streams_in_small_memory(fmt):
 @pytest.mark.parametrize("threads", ["0", "-5"])
 def test_threads_below_one_rejected_at_parse_time(capsys, threads):
     with pytest.raises(SystemExit) as exc:
-        main(["count", "--method", "brute", "--n", "9", "--threads", threads])
+        main(["verify", "--n", "9", "--threads", threads])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+def test_threads_is_a_verify_option_only(capsys):
+    assert cli.build_parser().parse_args(["verify", "--threads", "2"]).threads == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--n", "5", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--n", "5"],
+        ["generate", "--n", "5"],
+        ["triangle", "--which", "u", "--n", "5"],
+        ["tree", "--n", "5"],
+        ["verify"],
+    ],
+)
+def test_every_subcommand_parses_force(argv):
+    parser = cli.build_parser()
+    assert parser.parse_args(argv).force is False
+    assert parser.parse_args([*argv, "--force"]).force is True
 
 
 THREADS_NO_EFFECT = """
@@ -176,9 +200,7 @@ def out(*argv):
         assert main(list(argv)) == 0
     return buf.getvalue()
 
-count = ("count", "--method", "brute", "--n", "8")
 verify = ("verify", "--n", "6", "--json")
-assert out(*count, "--threads", "4") == out(*count, "--threads", "1")
 assert out(*verify, "--threads", "2") == out(*verify, "--threads", "1")
 print(sorted(m for m in sys.modules if m.startswith("concurrent")))
 """

@@ -215,11 +215,11 @@ def test_pool_modules_bind_process_pool_executor(monkeypatch):
     assert runner.run_pass([], trace=True) == []
 
 
-def test_traced_pool_command_times_its_pool(monkeypatch):
-    # a real command through the tracer: --threads 2 still parses, the
-    # oracle searches in this process, and the traced pool never starts
+def test_traced_oracle_command_starts_no_pool(monkeypatch):
+    # a real command through the tracer: the oracle searches in this
+    # process, and the traced pool never starts
     runner = _traced_runner(monkeypatch)
-    argv = ("count", "--method", "brute", "--n", "7", "--threads", "2")
+    argv = ("count", "--method", "brute", "--n", "7")
     [(code, _, _, head)] = runner.run_pass([argv], trace=True)
     assert (code, head) == (0, b"1\n1\n2\n6\n23\n105\n549\n3207\n")
     metrics = runner.layer_metrics()

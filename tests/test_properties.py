@@ -41,7 +41,7 @@ def permutations(draw, max_size=12):
 
 @settings(max_examples=300, database=None, deadline=None)
 @given(permutations())
-def test_blocks_decide_avoidance_and_recompose(w):
+def test_blocks_decide_avoidance_and_write_out_the_word(w):
     if not avoids(PATTERN, w):
         with pytest.raises(ValueError):
             decompose(w)
