@@ -13,27 +13,25 @@ length up to n_max, each in the order it finds it; only
 block structure of the class, so its output can arbitrate the fast paths;
 ``_filter_avoiders``, which filters the whole symmetric group with
 ``avoids``, is the slow reference the tests pin the search to.
-Enumeration is capped at length 10 unless ``force`` is passed.
+``oracle_diff`` holds the tree's count of each length against the search's
+for ``verify --suite eco``.  Enumeration is capped at length 10 unless
+``force`` is passed.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from itertools import permutations
-from typing import NamedTuple
 
 from .blocks import PATTERN
 # ``generate_level`` is unused here; perfbench/tracing.py requires this binding.
-from .gentree import ROOT, generate_level, walk
+from .gentree import generate_level
 from .perms import DashedPattern, Perm, avoids, label, occurs_ending_at
 
 # `count --method brute --n 10` holds every level: 7.1-7.5 s, 174 MB peak RSS
 # on one CPU of a 2-CPU Xeon, Python 3.11 (`count --n 0` 0.11-0.15 s there).
 ENUMERATION_CAP = 10
-# oracle_diff enumerates every level up to its length twice, by tree and by
-# brute force.
-ORACLE_CAP = 9
 
 STATISTICS = {"label": label}
 
@@ -105,52 +103,15 @@ def brute_census(pattern: DashedPattern, n: int, *, force: bool = False) -> dict
     return histogram(label, avoider_levels(pattern, n, force=force)[n])
 
 
-class DiffReport(NamedTuple):
-    ok: bool
-    levels: tuple[tuple[int, int, int], ...]
-    missing: tuple[Perm, ...]
-    extra: tuple[Perm, ...]
-    duplicates: tuple[Perm, ...]
+def oracle_diff(sizes: Sequence[int], *, force: bool = False) -> str | None:
+    """The first length n where ``sizes[n]`` is not the number of 1-32-4
+    avoiders of length n, named with both counts, or ``None``.
 
-    def __str__(self) -> str:
-        if self.ok:
-            top = self.levels[-1][0] if self.levels else 0
-            return f"tree agrees with brute force through length {top}"
-        return (
-            f"tree disagrees with brute force: {len(self.missing)} missing, "
-            f"{len(self.extra)} extra, {len(self.duplicates)} duplicated"
-        )
-
-
-def oracle_diff(n_max: int, *, force: bool = False) -> DiffReport:
-    """Compare the generating tree against brute enumeration, level by
-    level up to length n_max (capped at ``ORACLE_CAP`` without ``force``).
-    Both sides run in this process, the tree as one ``gentree.walk(n_max)``.
-
-    ``missing`` holds avoiders the tree never produced, ``extra`` holds
-    tree output the oracle's search rejects, ``duplicates`` holds each
-    tree output produced more than once, in the order the walk first
-    meets it; a sample of at most ten each is kept.
+    >>> oracle_diff([1, 1, 2, 5])
+    'length 3: 5 words, brute force finds 6'
     """
-    if n_max < 1:
-        raise ValueError(f"need at least length 1: {n_max}")
-    if n_max > ORACLE_CAP and not force:
-        raise ValueError(f"oracle_diff past length {ORACLE_CAP} needs force=True, got {n_max}")
-    levels: list[tuple[int, int, int]] = []
-    missing: list[Perm] = []
-    extra: list[Perm] = []
-    duplicates: list[Perm] = []
-    tree_levels: list[Counter[Perm]] = [Counter([ROOT])] + [Counter() for _ in range(n_max - 1)]
-    for node, children in walk(n_max):
-        tree_levels[len(node)].update(children)
-    brute_levels = avoider_levels(PATTERN, n_max, force=force)[1:]
-    for n, (tree, brute) in enumerate(zip(tree_levels, brute_levels), 1):
-        levels.append((n, tree.total(), len(brute)))
-        duplicates += [w for w, count in tree.items() if count > 1]
-        missing += sorted(w for w in brute if w not in tree)
-        brute_set = set(brute)
-        extra += sorted(w for w in tree if w not in brute_set)
-    ok = not missing and not extra and not duplicates
-    return DiffReport(
-        ok, tuple(levels), tuple(missing[:10]), tuple(extra[:10]), tuple(duplicates[:10])
-    )
+    levels = avoider_levels(PATTERN, len(sizes) - 1, force=force)
+    for n, (size, level) in enumerate(zip(sizes, levels)):
+        if size != len(level):
+            return f"length {n}: {size} words, brute force finds {len(level)}"
+    return None

@@ -21,17 +21,19 @@ from .blocks import PATTERN
 from .eco import expand, reduce
 from .perms import parse_dashed_pattern
 
-# `generate` streams the walk and holds no level: on one CPU of a 2-vCPU
-# x86-64 host, n = 10 takes about 0.8 s and 20 MB for 22 MB of lines (35 MB
-# of json), n = 11 about 6-8 s and 20 MB for 205 MB of lines (317 MB of
-# json).  Each level past that is about 8x the text and the time.
+# `generate` streams the walk and holds no level.  On one CPU of a 2-vCPU
+# x86-64 Xeon, Python 3.11, where `count --n 0` takes 0.09 s: n = 10 takes
+# about 1.9 s (20x that) and 16 MB for 22 MB of lines (35 MB of json),
+# n = 11 about 19 s and 16 MB for 205 MB of lines (317 MB of json).  Each
+# level past that is about 8x the text and the time.
 GENERATE_CAP = 11
 # Words formatted per write: with PYTHONUNBUFFERED set, a write per line
 # reaches the pipe as its own system call.
 GENERATE_BATCH = 4096
 CENSUS_CAP = 9
-# Every verify suite but pde enumerates whole levels of the tree.
-VERIFY_CAP = brute.ORACLE_CAP
+# Every verify suite but pde walks the tree to length n, and the eco suite
+# holds every level of the oracle's search: n = 10 takes 15 s and 174 MB.
+VERIFY_CAP = 9
 # `count --n 1000` holds one row of the rule's census at a time: about
 # 0.4 s and 22 MB.  `triangle --which u --n 1000` keeps the whole triangle
 # of big integers and streams its 435 MB of csv: about 8 s and 250 MB.
@@ -131,14 +133,36 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 
 
 def _verify_eco(n_max: int, force: bool) -> tuple[bool, str]:
-    diff = brute.oracle_diff(n_max, force=force)
-    if not diff.ok:
-        return False, str(diff)
+    """Check in one walk that level n of the tree holds each 1-32-4 avoider
+    of length n once, n = 1..n_max: each child reduces to its node, no node
+    repeats a child, and each length has the oracle's number of words.
+
+    That is exact.  Every tree word is an avoider: the root (1) is, and
+    ``reduce`` runs ``check_avoider`` on every child.  Level n repeats no
+    word, by induction on n: two equal words have the same ``reduce``, so
+    the same parent, which level n - 1 holds once, and its children are
+    distinct.  So level n is a subset of the avoiders of length n, and a
+    subset of equal size is the whole set.
+    """
+    if n_max < 1:
+        raise ValueError(f"need at least length 1: {n_max}")
+    sizes = [1, 1] + [0] * (n_max - 1)  # the empty word, the root, then the children
     for node, children in gentree.walk(n_max):
+        if len(set(children)) < len(children):
+            child = next(c for i, c in enumerate(children) if c in children[:i])
+            return False, f"duplicated child {child} of {node}"
         for child in children:
-            if reduce(child) != node:
-                return False, f"reduce({child}) is not {node}"
-    return True, f"{diff}; reduce inverts expand through length {n_max}"
+            try:
+                if reduce(child) != node:
+                    return False, f"reduce({child}) is not {node}"
+            except ValueError as exc:
+                return False, f"child {child} of {node}: {exc}"
+        sizes[len(node) + 1] += len(children)
+    mismatch = brute.oracle_diff(sizes, force=force)
+    if mismatch is not None:
+        return False, mismatch
+    through = f"through length {n_max}"
+    return True, f"tree agrees with brute force {through}; reduce inverts expand {through}"
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -169,8 +169,8 @@ def verify_labelling(n_max: int) -> LabellingReport:
     own label under ``omega_rule``.  n_max must be at least 1.
 
     The nodes are words built by the moves, so no node is validated again;
-    that every node avoids 1-32-4 is checked against the brute-force oracle
-    by ``verify --suite eco``.
+    ``verify --suite eco`` checks that every node avoids 1-32-4, through
+    the scan that ``reduce`` runs on each child.
     """
     if n_max < 1:
         raise ValueError(f"need at least length 1: {n_max}")

@@ -18,6 +18,9 @@ One test per deliverable claim, ordered:
     first mismatching order reported
 12. 1-32-4 and 1-23-4 have equally many avoiders for n <= 8
 
+One more test, after the twelve, pins the label census of 1-23-4 avoiders
+to the same triangle rows, n <= 8.
+
 Each test prints one summary line with its elapsed time (visible under
 pytest -s or in captured output).
 """
@@ -26,7 +29,7 @@ import time
 
 from vincular import cli
 from vincular.blocks import PATTERN
-from vincular.brute import brute_avoiders, brute_census
+from vincular.brute import avoider_levels, brute_avoiders, brute_census, histogram
 from vincular.counting import (
     PATTERN_3142,
     callan_3142,
@@ -38,7 +41,7 @@ from vincular.counting import (
 )
 from vincular.eco import Insert, MoveAll, Partial, expand, reduce
 from vincular.gentree import lambda_rule, level_label_counts, omega_rule, verify_labelling
-from vincular.perms import parse_dashed_pattern
+from vincular.perms import label, parse_dashed_pattern
 
 COUNTS = [1, 1, 2, 6, 23, 105, 549, 3207, 20577, 143239]
 
@@ -192,3 +195,15 @@ def test_12_wilf_equivalent_sibling():
     for n in range(9):
         assert len(brute_avoiders(sibling, n)) == count_avoiders(n), n
     _done("1-23-4 equinumerous with 1-32-4, n <= 8", started)
+
+
+def test_sibling_shares_the_label_refinement():
+    # Beyond claim 12: the label (right-to-left maxima right of the 1) has
+    # the same distribution on 1-23-4 avoiders as on 1-32-4 avoiders, row n
+    # of v.  Brute force alone, so the tree plays no part.
+    started = time.perf_counter()
+    levels = avoider_levels(parse_dashed_pattern("1-23-4"), 8)
+    tri = v_triangle(8)
+    for n in range(1, 9):
+        assert histogram(label, levels[n]) == tri.row(n), n
+    _done("1-23-4 label census equals triangle rows, n <= 8", started)

@@ -383,6 +383,24 @@ def test_verify_fails_on_a_wrong_reduce(capsys, monkeypatch):
     assert (code, out) == (1, "eco: FAIL (reduce((2, 1, 3)) is not (1, 2))\n")
 
 
+def test_verify_fails_on_a_dropped_child(capsys, monkeypatch):
+    # every child left reduces to its node and none repeats: only the
+    # count of length 4 tells, the dropped child's subtree counting at 5
+    _patch_children(monkeypatch, lambda node, c: c[:-1] if node == (3, 2, 1) else c)
+    code, out, _ = run(capsys, "verify", "--suite", "eco", "--n", "5")
+    assert (code, out) == (1, "eco: FAIL (length 4: 22 words, brute force finds 23)\n")
+
+
+def test_verify_fails_on_a_child_that_contains_the_pattern(capsys, monkeypatch):
+    # reduce rejects the child: a failed check (exit 1), not bad input (2)
+    _patch_children(monkeypatch, lambda node, c: [(1, 3, 2, 4), *c[1:]] if node == (3, 2, 1) else c)
+    code, out, _ = run(capsys, "verify", "--suite", "eco", "--n", "5")
+    assert (code, out) == (
+        1,
+        "eco: FAIL (child (1, 3, 2, 4) of (3, 2, 1): permutation contains 1-32-4: (1, 3, 2, 4))\n",
+    )
+
+
 def test_verify_cap(capsys):
     code, out, err = run(capsys, "verify", "--suite", "labelling", "--n", "12")
     assert code == 2

@@ -175,20 +175,30 @@ def test_verify_labelling_expands_each_node_once(monkeypatch):
 
 
 # _children calls of each reader of the tree: 24,470 nodes of length 1..8
-# and 3,893 of length 1..7, each expanded once per walk
+# and 3,893 of length 1..7, each expanded once per walk; and the head of
+# what the reader prints
+ECO_8 = "tree agrees with brute force through length 8; reduce inverts expand through length 8"
 TREE_READERS = [
-    (lambda: cli.main(["count", "--method", "tree", "--n", "9"]), 0, 24470),
-    (lambda: str(brute.oracle_diff(8)), "tree agrees with brute force through length 8", 3893),
-    # oracle_diff, reduce over every (node, children), verify_labelling(8)
-    # and label_series(8): one walk each
-    (lambda: cli.main(["verify", "--suite", "all", "--n", "8"]), 0, 24470 + 3 * 3893),
+    (
+        ["count", "--method", "tree", "--n", "9"],
+        "1\n1\n2\n6\n23\n105\n549\n3207\n20577\n143239\n",
+        24470,
+    ),
+    (["verify", "--suite", "eco", "--n", "8"], f"eco: ok ({ECO_8})\n", 3893),
+    # the eco suite, verify_labelling(8) and label_series(8): one walk each
+    (
+        ["verify", "--suite", "all", "--n", "8"],
+        f"eco: ok ({ECO_8})\nlabelling: ok (",
+        24470 + 2 * 3893,
+    ),
 ]
 
 
-@pytest.mark.parametrize("read, result, expected", TREE_READERS, ids=["count", "oracle", "verify"])
-def test_each_reader_walks_the_tree_once(monkeypatch, capsys, read, result, expected):
+@pytest.mark.parametrize("argv, head, expected", TREE_READERS, ids=["count", "oracle", "verify"])
+def test_each_reader_walks_the_tree_once(monkeypatch, capsys, argv, head, expected):
     calls = _count_children(monkeypatch)
-    assert read() == result
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.startswith(head)
     assert calls[0] == expected
 
 
@@ -216,14 +226,26 @@ def test_pool_modules_bind_process_pool_executor(monkeypatch):
 
 
 def test_traced_oracle_command_starts_no_pool(monkeypatch):
-    # a real command through the tracer: the oracle searches in this
+    # real commands through the tracer: the oracle searches in this
     # process, and the traced pool never starts
     runner = _traced_runner(monkeypatch)
-    argv = ("count", "--method", "brute", "--n", "7")
-    [(code, _, _, head)] = runner.run_pass([argv], trace=True)
+    count = ("count", "--method", "brute", "--n", "7")
+    eco_suite = ("verify", "--suite", "eco", "--n", "5")
+    [(code, _, _, head), (eco_code, _, _, eco_head)] = runner.run_pass(
+        [count, eco_suite], trace=True
+    )
     assert (code, head) == (0, b"1\n1\n2\n6\n23\n105\n549\n3207\n")
+    assert (eco_code, eco_head) == (
+        0,
+        b"eco: ok (tree agrees with brute force through length 5; "
+        b"reduce inverts expand through length 5)\n",
+    )
     metrics = runner.layer_metrics()
     assert metrics["brute.pool.calls"] == (0, "count")
+    # the eco suite reduces each of the 136 words of length 2..5 once, and
+    # oracle_diff's own time is the oracle's search
+    assert metrics["eco.reduce.calls"] == (136, "count")
+    assert metrics["brute.oracle_diff.self_s"][0] > 0
     assert brute.ProcessPoolExecutor is ProcessPoolExecutor  # the tracer undid its binding
 
 
