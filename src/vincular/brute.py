@@ -13,15 +13,27 @@ length up to n_max, each in the order it finds it; only
 block structure of the class, so its output can arbitrate the fast paths;
 ``_filter_avoiders``, which filters the whole symmetric group with
 ``avoids``, is the slow reference the tests pin the search to.
-``oracle_diff`` holds the tree's count of each length against the search's
-for ``verify --suite eco``.  Enumeration is capped at length 10 unless
-``force`` is passed.
+
+When the pattern's last letter is its largest value (1-32-4, 1-23-4), the
+ranks whose letter ends an occurrence form an up-set, so ``_ranked`` tests
+them from m + 1 down and stops at the first that ends none.  That is
+exact.  Say rank v ends an occurrence and v' > v.  The occurrence matches
+its other letters in the word, whose order and positions the new letter
+does not change, and the new letter is above all of them at rank v, so
+still above all of them at rank v'; the same positions are an occurrence
+ending at rank v'.  So the first rank from the top that ends none, and
+every rank below it, ends none.  Other patterns test every rank.
+
+``level_sizes`` counts the last length from the ranks of the one before,
+without building its words; ``oracle_diff`` holds the tree's count of each
+length against it for ``verify --suite eco``.  Enumeration is capped at
+length 10 unless ``force`` is passed.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import permutations
 
 from .blocks import PATTERN
@@ -29,8 +41,10 @@ from .blocks import PATTERN
 from .gentree import generate_level
 from .perms import DashedPattern, Perm, avoids, label, occurs_ending_at
 
-# `count --method brute --n 10` holds every level: 7.1-7.5 s, 174 MB peak RSS
-# on one CPU of a 2-CPU Xeon, Python 3.11 (`count --n 0` 0.11-0.15 s there).
+# `count --method brute --n 10` holds levels 0..9 and counts level 10: 1.8-2.2 s,
+# 34 MB peak RSS on one CPU of a 2-CPU Xeon, Python 3.11 (`count --n 0` 0.10 s
+# there); 31-4-2, which tests every rank, 5.5 s.  Building level 10, as
+# `triangle --which census --n 10` does, takes 3.7 s and 174 MB.
 ENUMERATION_CAP = 10
 
 STATISTICS = {"label": label}
@@ -51,6 +65,32 @@ def _filter_avoiders(pattern: DashedPattern, n: int) -> list[Perm]:
     return [w for w in permutations(range(1, n + 1)) if avoids(pattern, w)]
 
 
+def _ranked(pattern: DashedPattern, words: Iterable[Perm]) -> Iterator[tuple[Perm, list[int]]]:
+    # Each word with the ranks, increasing, of the last letters that end no
+    # occurrence; the cut is argued in the module docstring.
+    cut = pattern.underlying[-1] == len(pattern.underlying)
+    for word in words:
+        m = len(word)
+        # the new last letter, of rank v, sits between v - 1 and v
+        probe = [*word, 0.0]
+        ranks: list[int] = []
+        for v in range(m + 1, 0, -1):
+            probe[m] = v - 0.5
+            if not occurs_ending_at(pattern, probe, m):
+                if cut:
+                    ranks += range(v, 0, -1)
+                    break
+                ranks.append(v)
+        yield word, ranks[::-1]
+
+
+def _check_length(n_max: int, force: bool) -> None:
+    if n_max < 0:
+        raise ValueError(f"length must be nonnegative: {n_max}")
+    if n_max > ENUMERATION_CAP and not force:
+        raise ValueError(f"enumerating length {n_max} needs force=True (cap {ENUMERATION_CAP})")
+
+
 def avoider_levels(pattern: DashedPattern, n_max: int, *, force: bool = False) -> list[list[Perm]]:
     """The avoiders of ``pattern`` of every length 0..n_max: one search from
     the empty word, each length in the order the search finds it.
@@ -58,23 +98,32 @@ def avoider_levels(pattern: DashedPattern, n_max: int, *, force: bool = False) -
     >>> [len(level) for level in avoider_levels(PATTERN, 5)]
     [1, 1, 2, 6, 23, 105]
     """
-    if n_max < 0:
-        raise ValueError(f"length must be nonnegative: {n_max}")
-    if n_max > ENUMERATION_CAP and not force:
-        raise ValueError(f"enumerating length {n_max} needs force=True (cap {ENUMERATION_CAP})")
+    _check_length(n_max, force)
     levels: list[list[Perm]] = [[()]]
     for _ in range(n_max):
-        children: list[Perm] = []
-        for word in levels[-1]:
-            m = len(word)
-            # the new last letter, of rank v, sits between v - 1 and v
-            probe = [*word, 0.0]
-            for v in range(1, m + 2):
-                probe[m] = v - 0.5
-                if not occurs_ending_at(pattern, probe, m):
-                    children.append(tuple([x + (x >= v) for x in word]) + (v,))
-        levels.append(children)
+        levels.append(
+            [
+                tuple([x + (x >= v) for x in word]) + (v,)
+                for word, ranks in _ranked(pattern, levels[-1])
+                for v in ranks
+            ]
+        )
     return levels
+
+
+def level_sizes(pattern: DashedPattern, n_max: int, *, force: bool = False) -> list[int]:
+    """The number of avoiders of ``pattern`` of every length 0..n_max, as
+    ``avoider_levels`` finds them; length n_max is counted, not built.
+
+    >>> level_sizes(PATTERN, 5)
+    [1, 1, 2, 6, 23, 105]
+    """
+    _check_length(n_max, force)
+    if n_max == 0:
+        return [1]
+    levels = avoider_levels(pattern, n_max - 1, force=force)
+    last = sum(len(ranks) for _, ranks in _ranked(pattern, levels[-1]))
+    return [len(level) for level in levels] + [last]
 
 
 def brute_avoiders(pattern: DashedPattern, n: int, *, force: bool = False) -> list[Perm]:
@@ -110,8 +159,7 @@ def oracle_diff(sizes: Sequence[int], *, force: bool = False) -> str | None:
     >>> oracle_diff([1, 1, 2, 5])
     'length 3: 5 words, brute force finds 6'
     """
-    levels = avoider_levels(PATTERN, len(sizes) - 1, force=force)
-    for n, (size, level) in enumerate(zip(sizes, levels)):
-        if size != len(level):
-            return f"length {n}: {size} words, brute force finds {len(level)}"
+    for n, (size, found) in enumerate(zip(sizes, level_sizes(PATTERN, len(sizes) - 1, force=force))):
+        if size != found:
+            return f"length {n}: {size} words, brute force finds {found}"
     return None

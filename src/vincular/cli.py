@@ -32,7 +32,8 @@ GENERATE_CAP = 11
 GENERATE_BATCH = 4096
 CENSUS_CAP = 9
 # Every verify suite but pde walks the tree to length n, and the eco suite
-# holds every level of the oracle's search: n = 10 takes 15 s and 174 MB.
+# holds every level of the oracle's search but the last, which it counts:
+# `--suite eco --n 10` takes 9.6 s and 34 MB.
 VERIFY_CAP = 9
 # `count --n 1000` holds one row of the rule's census at a time: about
 # 0.4 s and 22 MB.  `triangle --which u --n 1000` keeps the whole triangle
@@ -81,8 +82,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
             values[len(node) + 1] += len(children)
     elif args.method == "brute":
         _check_cap(args.n, brute.ENUMERATION_CAP, "brute counting", args.force)
-        levels = brute.avoider_levels(pattern, args.n, force=args.force)
-        values = [len(level) for level in levels]
+        values = brute.level_sizes(pattern, args.n, force=args.force)
     else:
         if pattern != PATTERN:
             raise ValueError(f"the continued fraction is specific to {PATTERN}")

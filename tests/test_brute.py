@@ -2,6 +2,8 @@ from itertools import permutations, product
 
 import pytest
 
+from vincular import brute
+
 from vincular.blocks import PATTERN
 from vincular.brute import (
     ENUMERATION_CAP,
@@ -9,6 +11,7 @@ from vincular.brute import (
     avoider_levels,
     brute_avoiders,
     brute_census,
+    level_sizes,
     oracle_diff,
 )
 from vincular.perms import DashedPattern, parse_dashed_pattern
@@ -45,6 +48,49 @@ def test_search_equals_filter_small_patterns():
     for pattern in SMALL_PATTERNS:
         for n in range(7):
             assert brute_avoiders(pattern, n) == _filter_avoiders(pattern, n), (str(pattern), n)
+
+
+def test_level_sizes_count_the_levels_small_patterns():
+    for pattern in SMALL_PATTERNS:
+        levels = avoider_levels(pattern, 6)
+        for n in range(7):
+            assert level_sizes(pattern, n) == [len(level) for level in levels[: n + 1]], (str(pattern), n)
+
+
+def test_level_sizes_guards():
+    assert level_sizes(PATTERN, 0) == [1]
+    with pytest.raises(ValueError, match="nonnegative: -1"):
+        level_sizes(PATTERN, -1)
+    with pytest.raises(ValueError, match="force"):
+        level_sizes(PATTERN, ENUMERATION_CAP + 1)
+
+
+@pytest.mark.parametrize(
+    "text, calls",
+    [
+        # the last letter is the largest: ranks are tested from the top down
+        # and stop at the first that ends no occurrence (30,277 without the cut)
+        ("1-32-4", 9701),
+        ("1-23-4", 9701),
+        # the last letter 2 is neither largest nor smallest: every rank is tested
+        ("31-4-2", 28345),
+    ],
+)
+def test_rank_cut_only_where_it_applies(monkeypatch, text, calls):
+    count = 0
+    search = brute.occurs_ending_at
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return search(*args)
+
+    monkeypatch.setattr(brute, "occurs_ending_at", counted)
+    avoider_levels(parse_dashed_pattern(text), 8)
+    assert count == calls
+    count = 0
+    level_sizes(parse_dashed_pattern(text), 8)
+    assert count == calls
 
 
 @pytest.mark.parametrize("text", ["1-32-4", "1-23-4", "31-4-2", "1-3-2", "132"])

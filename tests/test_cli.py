@@ -50,6 +50,13 @@ def test_count_brute_any_pattern(capsys):
     assert out.splitlines()[-1] == "42"
 
 
+def test_count_brute_pattern_1_leaves_only_the_empty_word(capsys):
+    # every rank of the root's first letter ends an occurrence of "1"
+    code, out, _ = run(capsys, "count", "--method", "brute", "--n", "3", "--pattern", "1")
+    assert code == 0
+    assert out.split() == ["1", "0", "0", "0"]
+
+
 def test_count_recurrence_unknown_pattern(capsys):
     code, _, err = run(capsys, "count", "--pattern", "1-3-2", "--n", "5")
     assert code == 2
@@ -232,6 +239,7 @@ def refuse_brute_search(monkeypatch):
         raise AssertionError("the brute search ran although n is past the cap")
 
     monkeypatch.setattr(brute, "avoider_levels", refuse)
+    monkeypatch.setattr(brute, "level_sizes", refuse)
     monkeypatch.setattr(brute, "brute_avoiders", refuse)
 
 
