@@ -25,28 +25,30 @@ ending at rank v'.  So the first rank from the top that ends none, and
 every rank below it, ends none.  Other patterns test every rank.
 
 ``level_sizes`` counts the last length from the ranks of the one before,
-without building its words; ``oracle_diff`` holds the tree's count of each
-length against it for ``verify --suite eco``.  Enumeration is capped at
-length 10 unless ``force`` is passed.
+and ``census_rows`` takes its label histogram as its words are grown;
+neither holds it.  ``oracle_diff`` holds the tree's count of each length
+against ``level_sizes`` for ``verify --suite eco``.  Enumeration is capped
+at length 10 unless ``force`` is passed.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import permutations
+from itertools import chain, permutations
 
 from .blocks import PATTERN
 # ``generate_level`` is unused here; perfbench/tracing.py requires this binding.
 from .gentree import generate_level
 from .perms import DashedPattern, Perm, avoids, label, occurs_ending_at
 
-# `count --method brute --n 10` holds levels 0..9 and counts level 10: 1.8-2.2 s,
-# 34 MB peak RSS on one CPU of a 2-CPU Xeon, Python 3.11 (`count --n 0` 0.10 s
-# there); 31-4-2, which tests every rank, 5.5 s.  Building level 10, as
-# `triangle --which census --n 10` does, takes 3.7 s and 174 MB.
+# `count --method brute --n 10` holds levels 0..9 and counts level 10, and
+# `triangle --which census --n 10` takes its labels as it grows it: 1.7 s and
+# 3.7 s, both 34 MB peak RSS, on one CPU of a 2-CPU Xeon, Python 3.11
+# (`count --n 0` 0.07 s there); 31-4-2, which tests every rank, 5.4 s.
 ENUMERATION_CAP = 10
 
+# Unused here; perfbench/tracing.py requires this entry.
 STATISTICS = {"label": label}
 
 
@@ -84,6 +86,13 @@ def _ranked(pattern: DashedPattern, words: Iterable[Perm]) -> Iterator[tuple[Per
         yield word, ranks[::-1]
 
 
+def _grown(pattern: DashedPattern, words: Iterable[Perm]) -> Iterator[Perm]:
+    # Each word's children, by increasing rank of the new last letter.
+    for word, ranks in _ranked(pattern, words):
+        for v in ranks:
+            yield tuple([x + (x >= v) for x in word]) + (v,)
+
+
 def _check_length(n_max: int, force: bool) -> None:
     if n_max < 0:
         raise ValueError(f"length must be nonnegative: {n_max}")
@@ -101,13 +110,7 @@ def avoider_levels(pattern: DashedPattern, n_max: int, *, force: bool = False) -
     _check_length(n_max, force)
     levels: list[list[Perm]] = [[()]]
     for _ in range(n_max):
-        levels.append(
-            [
-                tuple([x + (x >= v) for x in word]) + (v,)
-                for word, ranks in _ranked(pattern, levels[-1])
-                for v in ranks
-            ]
-        )
+        levels.append(list(_grown(pattern, levels[-1])))
     return levels
 
 
@@ -141,15 +144,31 @@ def histogram(stat: Callable[[Perm], int], words: Iterable[Perm]) -> dict[int, i
     return dict(sorted(Counter(map(stat, words)).items()))
 
 
+def census_rows(pattern: DashedPattern, n_max: int, *, force: bool = False) -> Iterator[dict[int, int]]:
+    """Rows 0..n_max of the label census, n_max checked on the call: row n
+    is the label histogram of length n, row 0 empty (the empty word has no
+    label).  Length n_max is counted as its words are grown, never held.
+
+    >>> list(census_rows(PATTERN, 3))
+    [{}, {0: 1}, {0: 1, 1: 1}, {0: 2, 1: 3, 2: 1}]
+    """
+    _check_length(n_max, force)
+    if n_max == 0:
+        return iter([{}])
+    levels = avoider_levels(pattern, n_max - 1, force=force)
+    words = [*levels[1:], _grown(pattern, levels[-1])]  # the last is grown as it is read
+    return chain([{}], (histogram(label, level) for level in words))
+
+
 def brute_census(pattern: DashedPattern, n: int, *, force: bool = False) -> dict[int, int]:
-    """Histogram of the label over the avoiders of length n.
+    """Histogram of the label at length n: the last row of ``census_rows``.
 
     >>> brute_census(PATTERN, 4)
     {0: 6, 1: 10, 2: 6, 3: 1}
     """
     if n < 1:
         raise ValueError(f"census needs length at least 1: {n}")
-    return histogram(label, avoider_levels(pattern, n, force=force)[n])
+    return list(census_rows(pattern, n, force=force))[n]
 
 
 def oracle_diff(sizes: Sequence[int], *, force: bool = False) -> str | None:

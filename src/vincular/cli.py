@@ -35,9 +35,9 @@ CENSUS_CAP = 9
 # holds every level of the oracle's search but the last, which it counts:
 # `--suite eco --n 10` takes 9.6 s and 34 MB.
 VERIFY_CAP = 9
-# `count --n 1000` holds one row of the rule's census at a time: about
-# 0.4 s and 22 MB.  `triangle --which u --n 1000` keeps the whole triangle
-# of big integers and streams its 435 MB of csv: about 8 s and 250 MB.
+# `count --n 1000` and `triangle --which u --n 1000` hold one row of the
+# rule's census at a time: about 0.5 s and 19 MB, and, for the 435 MB of
+# csv, about 10 s and 20 MB (one CPU of a 2-CPU Xeon, Python 3.11).
 # The 31-4-2 recursion at 300 takes about 2 s, the pde check at 400
 # about 0.2 s.  The continued fraction grows as the cube of its order:
 # 0.03 s at 60, about 1 s at 200; its cap stays at 60.
@@ -117,13 +117,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_triangle(args: argparse.Namespace) -> int:
     if args.which == "census":
         _check_cap(args.n, CENSUS_CAP, "brute census", args.force)
-        levels = brute.avoider_levels(PATTERN, args.n, force=args.force)
-        label = brute.STATISTICS["label"]
-        triangle = counting.Triangle(({}, *(brute.histogram(label, level) for level in levels[1:])))
+        rows = brute.census_rows(PATTERN, args.n, force=args.force)
     else:
         _check_cap(args.n, RECURRENCE_CAP, f"triangle {args.which}", args.force)
-        triangle = (counting.u_triangle if args.which == "u" else counting.v_triangle)(args.n)
-    sys.stdout.writelines(triangle.csv_lines())
+        rule = gentree.lambda_rule() if args.which == "u" else gentree.omega_rule()
+        rows = counting.triangle_rows(rule, args.n)
+    # a write per row: with PYTHONUNBUFFERED set, each write is a system call
+    sys.stdout.writelines(counting.csv_rows(rows))
     return 0
 
 

@@ -23,12 +23,12 @@ row by row off the tree's label census, a ``Triangle`` like v.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
-from itertools import islice
+from collections.abc import Iterable, Iterator
+from itertools import chain, islice
 from typing import NamedTuple
 
 # ``generate_level`` is unused here; perfbench/tracing.py requires this binding.
-from .gentree import ROOT, generate_level, lambda_rule, omega_rule, walk
+from .gentree import ROOT, SuccessionRule, generate_level, lambda_rule, omega_rule, walk
 from .perms import label, parse_dashed_pattern
 
 PATTERN_3142 = parse_dashed_pattern("31-4-2")
@@ -50,37 +50,45 @@ class Triangle(NamedTuple):
     def row_sum(self, n: int) -> int:
         return sum(self.rows[n].values()) if 0 <= n < len(self.rows) else 0
 
-    def csv_lines(self) -> Iterator[str]:
-        """The triangle as csv lines, header first, one line at a time."""
-        yield "n,k,value\n"
-        for n, row in enumerate(self.rows):
-            for k, v in row.items():
-                yield f"{n},{k},{v}\n"
+
+def csv_rows(rows: Iterable[dict[int, int]]) -> Iterator[str]:
+    """A triangle's rows 0, 1, ... as csv text: the header, then the lines
+    of each row as one string, made as the row comes."""
+    yield "n,k,value\n"
+    for n, row in enumerate(rows):
+        yield "".join([f"{n},{k},{v}\n" for k, v in row.items()])
+
+
+def triangle_rows(rule: SuccessionRule, n_max: int) -> Iterator[dict[int, int]]:
+    """Rows 0..n_max of the rule's triangle, one at a time: row 0 is
+    {axiom - 1: 1} for the empty word, row n >= 1 the label census at
+    depth n - 1.  n_max is checked here, before any row is read.
+
+    >>> list(triangle_rows(lambda_rule(), 2))
+    [{0: 1}, {1: 1}, {1: 1, 2: 1}]
+    """
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative: {n_max}")
+    return chain([{rule.axiom - 1: 1}], islice(rule.levels(), n_max))
 
 
 def u_triangle(n_max: int) -> Triangle:
-    """Rows 0..n_max of the triangle u: row 0 is {0: 1}, row n >= 1 the
-    label census at depth n - 1 of ``lambda_rule``.
+    """Rows 0..n_max of the triangle u, the rows of ``lambda_rule``.
 
     >>> u_triangle(4).row(4)
     {1: 6, 2: 10, 3: 6, 4: 1}
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative: {n_max}")
-    return Triangle(({0: 1}, *islice(lambda_rule().levels(), n_max)))
+    return Triangle(tuple(triangle_rows(lambda_rule(), n_max)))
 
 
 def v_triangle(n_max: int) -> Triangle:
     """Label census triangle: v(n,k) avoiders of length n carry label k.
-    Row 0 is {-1: 1}, row n >= 1 the census at depth n - 1 of
-    ``omega_rule``.
+    Rows 0..n_max are the rows of ``omega_rule``.
 
     >>> v_triangle(4).row(4)
     {0: 6, 1: 10, 2: 6, 3: 1}
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative: {n_max}")
-    return Triangle(({-1: 1}, *islice(omega_rule().levels(), n_max)))
+    return Triangle(tuple(triangle_rows(omega_rule(), n_max)))
 
 
 def count_avoiders(n: int) -> int:
@@ -96,10 +104,8 @@ def count_avoiders(n: int) -> int:
 
 def avoider_counts(n_max: int) -> list[int]:
     """Counting sequence for lengths 0..n_max: the row sums of u, summed
-    as the rule's census yields them, so only one row is held."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative: {n_max}")
-    return [1] + [sum(row.values()) for row in islice(lambda_rule().levels(), n_max)]
+    as ``triangle_rows`` yields them, so only one row is held."""
+    return [sum(row.values()) for row in triangle_rows(lambda_rule(), n_max)]
 
 
 def callan_3142_triangle(n_max: int) -> Triangle:

@@ -11,10 +11,12 @@ from vincular.brute import (
     avoider_levels,
     brute_avoiders,
     brute_census,
+    census_rows,
+    histogram,
     level_sizes,
     oracle_diff,
 )
-from vincular.perms import DashedPattern, parse_dashed_pattern
+from vincular.perms import DashedPattern, label, parse_dashed_pattern
 
 # every dashed pattern of length <= 4, with every dash placement
 SMALL_PATTERNS = [
@@ -131,6 +133,30 @@ def test_brute_census():
     assert brute_census(PATTERN, 4) == {0: 6, 1: 10, 2: 6, 3: 1}
     with pytest.raises(ValueError):
         brute_census(PATTERN, 0)
+
+
+def test_census_rows_are_the_level_histograms(monkeypatch):
+    levels = avoider_levels(PATTERN, 8)
+    built = []
+
+    def recorded(pattern, n_max, **kwargs):
+        built.append(n_max)
+        return avoider_levels(pattern, n_max, **kwargs)
+
+    monkeypatch.setattr(brute, "avoider_levels", recorded)
+    for n in range(1, 9):
+        rows = list(census_rows(PATTERN, n))
+        assert rows == [{}] + [histogram(label, level) for level in levels[1 : n + 1]], n
+        # the last length is counted as it grows, never built
+        assert built[-1] == n - 1
+    assert list(census_rows(PATTERN, 0)) == [{}]
+
+
+def test_census_rows_check_n_when_called():
+    with pytest.raises(ValueError, match="nonnegative"):
+        census_rows(PATTERN, -1)
+    with pytest.raises(ValueError, match="force"):
+        census_rows(PATTERN, ENUMERATION_CAP + 1)
 
 
 def test_oracle_diff():

@@ -258,8 +258,8 @@ def test_count_brute_cap_before_any_level(capsys, monkeypatch):
         ("avoider_counts", ["count", "--n", str(cli.RECURRENCE_CAP + 1)]),
         ("callan_3142", ["count", "--pattern", "31-4-2", "--n", str(cli.CALLAN_CAP + 1)]),
         ("compare_cfrac_with_counts", ["count", "--method", "cfrac", "--n", str(cli.CFRAC_CAP + 1)]),
-        ("u_triangle", ["triangle", "--which", "u", "--n", str(cli.RECURRENCE_CAP + 1)]),
-        ("v_triangle", ["triangle", "--which", "v", "--n", str(cli.RECURRENCE_CAP + 1)]),
+        ("triangle_rows", ["triangle", "--which", "u", "--n", str(cli.RECURRENCE_CAP + 1)]),
+        ("triangle_rows", ["triangle", "--which", "v", "--n", str(cli.RECURRENCE_CAP + 1)]),
         ("check_pde", ["verify", "--suite", "pde", "--n", str(cli.PDE_CAP + 1)]),
     ],
 )
@@ -308,6 +308,15 @@ def test_triangle_census_rejects_negative_n(capsys):
     assert "nonnegative" in err
     # n = 0 still prints the bare header
     assert run(capsys, "triangle", "--which", "census", "--n", "0") == (0, "n,k,value\n", "")
+
+
+@pytest.mark.parametrize("which", ["u", "v"])
+def test_triangle_rejects_negative_n(capsys, which):
+    # the error comes before the header
+    code, out, err = run(capsys, "triangle", "--which", which, "--n", "-1")
+    assert code == 2
+    assert out == ""
+    assert "nonnegative" in err
 
 
 def test_triangle_census_cap(capsys, monkeypatch):

@@ -16,10 +16,13 @@ from vincular.counting import (
     compare_cfrac_with_counts,
     continued_fraction_series,
     count_avoiders,
+    csv_rows,
     label_series,
+    triangle_rows,
     u_triangle,
     v_triangle,
 )
+from vincular.gentree import lambda_rule
 from vincular.perms import label
 
 COUNTS = [1, 1, 2, 6, 23, 105, 549, 3207, 20577, 143239]
@@ -59,8 +62,10 @@ def test_row_sums_count_avoiders():
 
 
 def test_triangle_csv():
-    csv = "".join(u_triangle(2).csv_lines())
+    csv = "".join(csv_rows(u_triangle(2).rows))
     assert csv == "n,k,value\n0,0,1\n1,1,1\n2,1,1\n2,2,1\n"
+    # one string per row, so the csv takes one write per row
+    assert list(csv_rows(triangle_rows(lambda_rule(), 2)))[-1] == "2,1,1\n2,2,1\n"
 
 
 def test_callan_sequence_differs_from_ours():
@@ -238,6 +243,28 @@ def test_counts_hold_no_triangle(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == LARGE_OUTPUTS[argv]
     assert count_avoiders(9) == COUNTS[9]
+
+
+# sha256 of `triangle --which W --n 6` as printed when the csv was written
+# from a whole Triangle
+TRIANGLES_AT_6 = {
+    "u": "349465bd69a00ed2659a7efe7539ac27b8e08388eb21a2c0142a8d81fdc2efad",
+    "v": "a399db2fefe6c6fb566452abea7c5ba70e39b9f7757d0938a36af37c7eb3001b",
+    "census": "65001304e47960b2216318622a58faf1ae257d57a2d25b4b04bffb676e8309b4",
+}
+
+
+@pytest.mark.parametrize("which", list(TRIANGLES_AT_6))
+def test_triangles_hold_no_triangle(capsys, monkeypatch, which):
+    # the csv is written from the row streams as the rows come
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"triangle --which {which} built a Triangle")
+
+    for name in ("Triangle", "u_triangle", "v_triangle"):
+        monkeypatch.setattr(counting, name, refuse)
+    assert main(["triangle", "--which", which, "--n", "6"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TRIANGLES_AT_6[which]
 
 
 @pytest.mark.parametrize(
