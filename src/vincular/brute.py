@@ -7,15 +7,15 @@ a last letter of rank v in 1..m + 1 and moves the letters >= v up by one
 Discrete Math. 1995).  That keeps the order and adjacency of the letters,
 so every prefix of an avoider is an avoider, each avoider of length m is
 reached once, at depth m, and a child is dropped as soon as its new letter
-ends an occurrence (``perms.occurs_ending_at``).  One search yields every
-length up to n_max, each in the order it finds it; only
+ends an occurrence (``perms.occurs_ending_at``).  ``_walk`` goes depth
+first and so meets each length in breadth-first order; only
 ``brute_avoiders`` sorts its one length.  Everything here ignores the
 block structure of the class, so its output can arbitrate the fast paths;
 ``_filter_avoiders``, which filters the whole symmetric group with
 ``avoids``, is the slow reference the tests pin the search to.
 
 When the pattern's last letter is its largest value (1-32-4, 1-23-4), the
-ranks whose letter ends an occurrence form an up-set, so ``_ranked`` tests
+ranks whose letter ends an occurrence form an up-set, so ``_walk`` tests
 them from m + 1 down and stops at the first that ends none.  That is
 exact.  Say rank v ends an occurrence and v' > v.  The occurrence matches
 its other letters in the word, whose order and positions the new letter
@@ -24,28 +24,28 @@ still above all of them at rank v'; the same positions are an occurrence
 ending at rank v'.  So the first rank from the top that ends none, and
 every rank below it, ends none.  Other patterns test every rank.
 
-``level_sizes`` counts the last length from the ranks of the one before,
-and ``census_rows`` takes its label histogram as its words are grown;
-neither holds it.  ``oracle_diff`` holds the tree's count of each length
-against ``level_sizes`` for ``verify --suite eco``.  Enumeration is capped
-at length 10 unless ``force`` is passed.
+``avoider_levels``, ``level_sizes`` and ``census_rows`` are each one fold
+over the walk, and only ``avoider_levels`` holds a level.  ``oracle_diff``
+holds the tree's count of each length against ``level_sizes`` for
+``verify --suite eco``.  Enumeration is capped at length 10 unless
+``force`` is passed.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import chain, permutations
+from itertools import permutations
 
 from .blocks import PATTERN
 # ``generate_level`` is unused here; perfbench/tracing.py requires this binding.
 from .gentree import generate_level
 from .perms import DashedPattern, Perm, avoids, label, occurs_ending_at
 
-# `count --method brute --n 10` holds levels 0..9 and counts level 10, and
-# `triangle --which census --n 10` takes its labels as it grows it: 1.7 s and
-# 3.7 s, both 34 MB peak RSS, on one CPU of a 2-CPU Xeon, Python 3.11
-# (`count --n 0` 0.07 s there); 31-4-2, which tests every rank, 5.4 s.
+# The walk holds no level: at n = 10, `count --method brute` takes 1.6 s
+# (31-4-2, which tests every rank, 4.5 s) and `triangle --which census`
+# 3.8 s, all 15 MB, on one CPU of a 2-vCPU Xeon, Python 3.11 (`count --n 0`
+# 0.06 s and 14.6 MB there).
 ENUMERATION_CAP = 10
 
 # Unused here; perfbench/tracing.py requires this entry.
@@ -67,11 +67,18 @@ def _filter_avoiders(pattern: DashedPattern, n: int) -> list[Perm]:
     return [w for w in permutations(range(1, n + 1)) if avoids(pattern, w)]
 
 
-def _ranked(pattern: DashedPattern, words: Iterable[Perm]) -> Iterator[tuple[Perm, list[int]]]:
-    # Each word with the ranks, increasing, of the last letters that end no
-    # occurrence; the cut is argued in the module docstring.
+def _grown(word: Perm, ranks: list[int]) -> list[Perm]:
+    # The word's children, by increasing rank of the new last letter.
+    return [tuple([x + (x >= v) for x in word]) + (v,) for v in ranks]
+
+
+def _walk(pattern: DashedPattern, n_max: int) -> Iterator[tuple[Perm, list[int]]]:
+    # Every avoider shorter than n_max, depth first, with the increasing ranks
+    # of the last letters that end no occurrence (the cut: module docstring).
     cut = pattern.underlying[-1] == len(pattern.underlying)
-    for word in words:
+    stack: list[Perm] = [()] if n_max > 0 else []
+    while stack:
+        word = stack.pop()
         m = len(word)
         # the new last letter, of rank v, sits between v - 1 and v
         probe = [*word, 0.0]
@@ -80,17 +87,12 @@ def _ranked(pattern: DashedPattern, words: Iterable[Perm]) -> Iterator[tuple[Per
             probe[m] = v - 0.5
             if not occurs_ending_at(pattern, probe, m):
                 if cut:
-                    ranks += range(v, 0, -1)
+                    ranks = list(range(1, v + 1))
                     break
-                ranks.append(v)
-        yield word, ranks[::-1]
-
-
-def _grown(pattern: DashedPattern, words: Iterable[Perm]) -> Iterator[Perm]:
-    # Each word's children, by increasing rank of the new last letter.
-    for word, ranks in _ranked(pattern, words):
-        for v in ranks:
-            yield tuple([x + (x >= v) for x in word]) + (v,)
+                ranks.insert(0, v)
+        if m < n_max - 1:
+            stack += reversed(_grown(word, ranks))
+        yield word, ranks
 
 
 def _check_length(n_max: int, force: bool) -> None:
@@ -101,32 +103,31 @@ def _check_length(n_max: int, force: bool) -> None:
 
 
 def avoider_levels(pattern: DashedPattern, n_max: int, *, force: bool = False) -> list[list[Perm]]:
-    """The avoiders of ``pattern`` of every length 0..n_max: one search from
-    the empty word, each length in the order the search finds it.
+    """The avoiders of ``pattern`` of every length 0..n_max: each word's
+    children in one walk, each length in the order the walk meets it.
 
     >>> [len(level) for level in avoider_levels(PATTERN, 5)]
     [1, 1, 2, 6, 23, 105]
     """
     _check_length(n_max, force)
-    levels: list[list[Perm]] = [[()]]
-    for _ in range(n_max):
-        levels.append(list(_grown(pattern, levels[-1])))
+    levels: list[list[Perm]] = [[()]] + [[] for _ in range(n_max)]
+    for word, ranks in _walk(pattern, n_max):
+        levels[len(word) + 1] += _grown(word, ranks)
     return levels
 
 
 def level_sizes(pattern: DashedPattern, n_max: int, *, force: bool = False) -> list[int]:
-    """The number of avoiders of ``pattern`` of every length 0..n_max, as
-    ``avoider_levels`` finds them; length n_max is counted, not built.
+    """The number of avoiders of ``pattern`` of every length 0..n_max: each
+    word's ranks in one walk, summed; no word of length n_max is built.
 
     >>> level_sizes(PATTERN, 5)
     [1, 1, 2, 6, 23, 105]
     """
     _check_length(n_max, force)
-    if n_max == 0:
-        return [1]
-    levels = avoider_levels(pattern, n_max - 1, force=force)
-    last = sum(len(ranks) for _, ranks in _ranked(pattern, levels[-1]))
-    return [len(level) for level in levels] + [last]
+    sizes = [1] + [0] * n_max
+    for word, ranks in _walk(pattern, n_max):
+        sizes[len(word) + 1] += len(ranks)
+    return sizes
 
 
 def brute_avoiders(pattern: DashedPattern, n: int, *, force: bool = False) -> list[Perm]:
@@ -147,17 +148,16 @@ def histogram(stat: Callable[[Perm], int], words: Iterable[Perm]) -> dict[int, i
 def census_rows(pattern: DashedPattern, n_max: int, *, force: bool = False) -> Iterator[dict[int, int]]:
     """Rows 0..n_max of the label census, n_max checked on the call: row n
     is the label histogram of length n, row 0 empty (the empty word has no
-    label).  Length n_max is counted as its words are grown, never held.
+    label).  The labels of each word's children in one walk, counted.
 
     >>> list(census_rows(PATTERN, 3))
     [{}, {0: 1}, {0: 1, 1: 1}, {0: 2, 1: 3, 2: 1}]
     """
     _check_length(n_max, force)
-    if n_max == 0:
-        return iter([{}])
-    levels = avoider_levels(pattern, n_max - 1, force=force)
-    words = [*levels[1:], _grown(pattern, levels[-1])]  # the last is grown as it is read
-    return chain([{}], (histogram(label, level) for level in words))
+    rows: list[Counter[int]] = [Counter() for _ in range(n_max + 1)]
+    for word, ranks in _walk(pattern, n_max):
+        rows[len(word) + 1].update(map(label, _grown(word, ranks)))
+    return (dict(sorted(row.items())) for row in rows)
 
 
 def brute_census(pattern: DashedPattern, n: int, *, force: bool = False) -> dict[int, int]:

@@ -15,9 +15,9 @@ and row sums of either triangle give the counting sequence.
 The module also carries a separate recursion for 31-4-2 avoiders counted
 by first letter, a continued fraction whose series, a tuple of integers
 from one integer recurrence, disagrees with the counting sequence
-(``compare_cfrac_with_counts`` reports where), and residual checks for the
-functional equation and the boundary differential equation, both read
-row by row off the tree's label census, a ``Triangle`` like v.
+(``compare_cfrac_with_counts`` reports where), and residual checks: the
+tree's label census, a ``Triangle`` like v, against v for the functional
+equation, and v's rows as they come for the differential equation.
 """
 
 from __future__ import annotations
@@ -286,34 +286,35 @@ PDE_CONVENTIONS = (
 )
 
 
-def _pde_first_residual(census: Triangle, convention: str) -> tuple[tuple[int, int], int] | None:
-    """The lowest nonzero term c z^n t^m of the differential equation's
-    residual, as ((n, m), c), or None when it vanishes.  Row n of the
-    residual is
+def _pde_row_residual(
+    convention: str, n: int, row: dict[int, int], prev: dict[int, int]
+) -> tuple[tuple[int, int], int] | None:
+    """The lowest nonzero term c z^n t^m of row n of the differential
+    equation's residual, as ((n, m), c), or None when that row vanishes.
+    Row n of the residual is
 
         (1-t)^2 F_n + t^2(1-t) F'_{n-1} + t^2(2-t) F_{n-1}
             - t F_{n-1}(1) - [n=1] t(1-t)^2
 
-    with F_n row n of the census as a polynomial in t under the
+    with F_n and F_{n-1} the census rows ``row`` and ``prev`` (row 0 the
+    empty word's term, row -1 empty) as polynomials in t under the
     convention.  Labels are nonnegative, so t^0 is the lowest power.
     """
     shift = 1 if convention.startswith("label-plus-one") else 0
     empty = {0: 1} if convention.endswith("with-empty") else {}
-    rows = [empty, *({k + shift: c for k, c in row.items()} for row in census.rows[1:])]
-    prev: dict[int, int] = {}
-    for n, f in enumerate(rows):
-        cur, old = f.get, prev.get
-        for m in range(max([*f, *prev], default=0) + 4):
-            # t^m in (1-t)^2 F_n, then in t^2(1-t) F'_{n-1} + t^2(2-t) F_{n-1}
-            c = cur(m, 0) - 2 * cur(m - 1, 0) + cur(m - 2, 0)
-            c += (m - 1) * old(m - 1, 0) - (m - 4) * old(m - 2, 0) - old(m - 3, 0)
-            if m == 1:
-                c -= sum(prev.values())
-            if n == 1 and 1 <= m <= 3:
-                c -= (1, -2, 1)[m - 1]
-            if c:
-                return (n, m), c
-        prev = f
+    f = {k + shift: c for k, c in row.items()} if n else empty
+    p = {k + shift: c for k, c in prev.items()} if n != 1 else empty
+    cur, old = f.get, p.get
+    for m in range(max([*f, *p], default=0) + 4):
+        # t^m in (1-t)^2 F_n, then in t^2(1-t) F'_{n-1} + t^2(2-t) F_{n-1}
+        c = cur(m, 0) - 2 * cur(m - 1, 0) + cur(m - 2, 0)
+        c += (m - 1) * old(m - 1, 0) - (m - 4) * old(m - 2, 0) - old(m - 3, 0)
+        if m == 1:
+            c -= sum(p.values())
+        if n == 1 and 1 <= m <= 3:
+            c -= (1, -2, 1)[m - 1]
+        if c:
+            return (n, m), c
     return None
 
 
@@ -341,12 +342,12 @@ def check_pde(n_max: int) -> PdeReport:
     """
     if n_max < 1:
         raise ValueError(f"need at least order 1: {n_max}")
-    census = v_triangle(n_max)
-    tried: list[tuple[str, tuple[tuple[int, int], int] | None]] = []
-    winner: str | None = None
-    for convention in PDE_CONVENTIONS:
-        first_bad = _pde_first_residual(census, convention)
-        tried.append((convention, first_bad))
-        if first_bad is None and winner is None:
-            winner = convention
-    return PdeReport(winner is not None, winner, n_max, tuple(tried))
+    first_bad: dict[str, tuple[tuple[int, int], int] | None] = dict.fromkeys(PDE_CONVENTIONS)
+    prev: dict[int, int] = {}
+    for n, row in enumerate(triangle_rows(omega_rule(), n_max)):
+        for convention in PDE_CONVENTIONS:
+            if first_bad[convention] is None:
+                first_bad[convention] = _pde_row_residual(convention, n, row, prev)
+        prev = row
+    winner = next((c for c in PDE_CONVENTIONS if first_bad[c] is None), None)
+    return PdeReport(winner is not None, winner, n_max, tuple(first_bad.items()))

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations, product
 
 import pytest
@@ -16,7 +17,7 @@ from vincular.brute import (
     level_sizes,
     oracle_diff,
 )
-from vincular.perms import DashedPattern, label, parse_dashed_pattern
+from vincular.perms import DashedPattern, avoids, label, parse_dashed_pattern
 
 # every dashed pattern of length <= 4, with every dash placement
 SMALL_PATTERNS = [
@@ -137,19 +138,53 @@ def test_brute_census():
 
 def test_census_rows_are_the_level_histograms(monkeypatch):
     levels = avoider_levels(PATTERN, 8)
-    built = []
 
-    def recorded(pattern, n_max, **kwargs):
-        built.append(n_max)
-        return avoider_levels(pattern, n_max, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("avoider_levels called")
 
-    monkeypatch.setattr(brute, "avoider_levels", recorded)
+    # the census and the counts are folds over the walk; neither builds a level
+    monkeypatch.setattr(brute, "avoider_levels", refuse)
     for n in range(1, 9):
         rows = list(census_rows(PATTERN, n))
         assert rows == [{}] + [histogram(label, level) for level in levels[1 : n + 1]], n
-        # the last length is counted as it grows, never built
-        assert built[-1] == n - 1
+        assert level_sizes(PATTERN, n) == [len(level) for level in levels[: n + 1]], n
     assert list(census_rows(PATTERN, 0)) == [{}]
+
+
+@pytest.mark.parametrize("fold", [level_sizes, census_rows], ids=lambda fold: fold.__name__)
+def test_oracle_folds_hold_no_level(fold):
+    # holding levels 0..7 (3,894 words) peaked at 145-387 KB; the walk's
+    # stack and the rows take a few KB
+    list(fold(PATTERN, 8))
+    tracemalloc.start()
+    try:
+        list(fold(PATTERN, 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+
+
+def _breadth_first_levels(pattern, n_max):
+    # level m + 1 grows the words of level m in order, each by increasing
+    # rank of its new last letter, and keeps the children that avoid
+    levels = [[()]]
+    for m in range(n_max):
+        level = []
+        for word in levels[-1]:
+            for v in range(1, m + 2):
+                child = tuple(x + (x >= v) for x in word) + (v,)
+                if avoids(pattern, child):
+                    level.append(child)
+        levels.append(level)
+    return levels
+
+
+@pytest.mark.parametrize("text", ["1-32-4", "1-23-4", "31-4-2"])
+def test_avoider_levels_keep_breadth_first_order(text):
+    # a depth-first walk meets each length in breadth-first order; unsorted
+    pattern = parse_dashed_pattern(text)
+    assert avoider_levels(pattern, 7) == _breadth_first_levels(pattern, 7)
 
 
 def test_census_rows_check_n_when_called():

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -7,7 +8,6 @@ from vincular.brute import brute_avoiders
 from vincular.cli import main
 from vincular.counting import (
     PATTERN_3142,
-    Triangle,
     avoider_counts,
     callan_3142,
     callan_3142_triangle,
@@ -22,7 +22,7 @@ from vincular.counting import (
     u_triangle,
     v_triangle,
 )
-from vincular.gentree import lambda_rule
+from vincular.gentree import lambda_rule, omega_rule
 from vincular.perms import label
 
 COUNTS = [1, 1, 2, 6, 23, 105, 549, 3207, 20577, 143239]
@@ -168,9 +168,9 @@ def test_functional_equation_reports_a_mislabelled_word(monkeypatch, word, first
 
 
 def test_pde_reports_a_wrong_census_entry(monkeypatch):
-    rows = [dict(row) for row in v_triangle(6).rows]
+    rows = [dict(row) for row in triangle_rows(omega_rule(), 6)]
     rows[4][1] += 1
-    monkeypatch.setattr(counting, "v_triangle", lambda n_max: Triangle(tuple(rows)))
+    monkeypatch.setattr(counting, "triangle_rows", lambda rule, n_max: iter(rows))
     report = check_pde(6)
     assert not report.ok
     assert report.tried == (
@@ -182,15 +182,29 @@ def test_pde_reports_a_wrong_census_entry(monkeypatch):
 
 
 def test_check_pde_builds_the_census_once(monkeypatch):
+    # the check reads the rule's rows once, as they come
     calls = []
 
-    def counted(n_max):
+    def counted(rule, n_max):
         calls.append(n_max)
-        return v_triangle(n_max)
+        return triangle_rows(rule, n_max)
 
-    monkeypatch.setattr(counting, "v_triangle", counted)
+    monkeypatch.setattr(counting, "triangle_rows", counted)
     assert check_pde(7).ok
     assert calls == [7]
+
+
+def test_check_pde_holds_no_triangle():
+    # holding v_triangle(100) peaked at 660 KB; two rows per convention
+    # take tens of KB
+    check_pde(100)
+    tracemalloc.start()
+    try:
+        check_pde(100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024, peak
 
 
 @pytest.mark.parametrize("n_max", [0, -1])
