@@ -11,12 +11,13 @@ contains 1-32-4 exactly when some run that is not last in its block is
 followed, anywhere later, by a letter larger than the run's last entry.
 ``check_avoider`` decides this in one left-to-right scan and is the one
 test of avoidance outside ``perms``; ``decompose`` runs it and returns the
-blocks as a plain tuple of ``Block``s.  The run count of the last block is
-the tree label of ``label``.
+blocks as a plain tuple of ``Block``s, cut into runs by ``runs``, which
+``eco.reduce`` uses too.  The run count of the last block is ``label``.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 # ``avoids`` is unused here; perfbench/tracing.py requires this binding.
@@ -62,6 +63,25 @@ def check_avoider(word: Sequence[int]) -> Perm:
     return w
 
 
+def runs(letters: Sequence[int]) -> list[Perm]:
+    """The maximal increasing runs of ``letters``, in order: a run starts
+    at the first letter and at each descent, so no letters give no runs.
+
+    >>> runs((7, 5, 2, 3))
+    [(7,), (5,), (2, 3)]
+    """
+    w = tuple(letters)
+    out: list[Perm] = []
+    start = 0
+    for i in range(1, len(w)):
+        if w[i] < w[i - 1]:
+            out.append(w[start:i])
+            start = i
+    if w:
+        out.append(w[start:])
+    return out
+
+
 def decompose(word: Sequence[int]) -> tuple[Block, ...]:
     """Split an avoider into blocks headed by its left-to-right minima.
 
@@ -79,23 +99,6 @@ def decompose(word: Sequence[int]) -> tuple[Block, ...]:
     w = check_avoider(word)
     if len(w) == 0:
         raise ValueError("cannot decompose the empty permutation")
-    blocks: list[Block] = []
-    minimum = w[0]
-    runs: list[tuple[int, ...]] = []
-    run: list[int] = []
-    for v in w[1:]:
-        if v < minimum:
-            if run:
-                runs.append(tuple(run))
-            blocks.append(Block(minimum, tuple(runs)))
-            minimum, runs, run = v, [], []
-        elif run and v > run[-1]:
-            run.append(v)
-        else:
-            if run:
-                runs.append(tuple(run))
-            run = [v]
-    if run:
-        runs.append(tuple(run))
-    blocks.append(Block(minimum, tuple(runs)))
-    return tuple(blocks)
+    heads = [i for i, low in enumerate(accumulate(w, min)) if w[i] == low]
+    ends = heads[1:] + [len(w)]
+    return tuple(Block(w[h], tuple(runs(w[h + 1 : e]))) for h, e in zip(heads, ends))

@@ -155,7 +155,7 @@ def occurs_ending_at(pattern: DashedPattern, word: Sequence[int], end: int) -> b
     the letters matched so far are already in the pattern's relative order,
     each candidate is compared only with the two of them whose pattern
     values are just below and just above its own.  ``word`` must have
-    distinct entries; this is not checked.
+    distinct entries, which is not checked; an ``end`` outside it raises ValueError.
 
     >>> p = parse_dashed_pattern("1-32-4")
     >>> occurs_ending_at(p, (1, 3, 2, 4), 3)
@@ -163,6 +163,8 @@ def occurs_ending_at(pattern: DashedPattern, word: Sequence[int], end: int) -> b
     >>> occurs_ending_at(p, (1, 3, 2, 4, 5), 3), occurs_ending_at(p, (1, 3, 5, 2, 4), 4)
     (True, False)
     """
+    if not 0 <= end < len(word):
+        raise ValueError(f"end {end} is not a position of a word of length {len(word)}")
     adjacency = pattern.adjacency
     lows, highs = pattern._suffix_plan
     top = len(lows)  # index of the last pattern letter

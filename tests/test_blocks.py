@@ -1,8 +1,10 @@
 from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from vincular.blocks import PATTERN, decompose
+from vincular.blocks import PATTERN, decompose, runs
 from vincular.eco import reduce
 from vincular.perms import avoids, label
 
@@ -14,6 +16,18 @@ def test_decompose_fourteen_letter_example():
     assert blocks[1].runs == ()
     assert blocks[2].runs == ((4, 10, 11),)
     assert blocks[3].runs == ((3, 13), (6, 7))
+
+
+@settings(max_examples=300, database=None, deadline=None)
+@given(st.lists(st.integers(), unique=True))
+@example([])
+def test_runs_cut_exactly_at_descents(letters):
+    cut = runs(letters)
+    assert [v for run in cut for v in run] == letters
+    for run in cut:
+        assert run and list(run) == sorted(run)
+    for before, after in zip(cut, cut[1:]):
+        assert before[-1] > after[0]
 
 
 def test_decompose_rejects_containing_permutation():

@@ -127,3 +127,12 @@ def test_occurs_ending_at_matches_search(pattern, word):
         occurs_ending_at(pattern, word[:i], i - 1) for i in range(1, len(word) + 1)
     )
     assert avoids(pattern, word) == prefixes_clean
+
+
+@pytest.mark.parametrize(
+    "text, word, end",
+    [("1", (), 0), ("1-32-4", (1, 3, 2), 3), ("1-32-4", (1, 3, 2, 4), -1), ("1", (1,), -1)],
+)
+def test_occurs_ending_at_rejects_an_end_outside_the_word(text, word, end):
+    with pytest.raises(ValueError):
+        occurs_ending_at(parse_dashed_pattern(text), word, end)
