@@ -42,10 +42,10 @@ from .blocks import PATTERN
 from .gentree import generate_level
 from .perms import DashedPattern, Perm, avoids, label, occurs_ending_at
 
-# The walk holds no level: at n = 10, `count --method brute` takes 1.6 s
-# (31-4-2, which tests every rank, 4.5 s) and `triangle --which census`
-# 3.8 s, all 15 MB, on one CPU of a 2-vCPU Xeon, Python 3.11 (`count --n 0`
-# 0.06 s and 14.6 MB there).
+# The walk holds no level: at n = 10, `count --method brute` takes 1.2 s
+# (31-4-2, which tests every rank, 3.7-4.5 s) and `triangle --which census`
+# 3.0-3.2 s, all 15 MB, on one CPU of a 2-vCPU Xeon, Python 3.11
+# (`count --n 0` 0.07 s and 14.6 MB there).
 ENUMERATION_CAP = 10
 
 # Unused here; perfbench/tracing.py requires this entry.

@@ -27,12 +27,14 @@ from .perms import parse_dashed_pattern
 # n = 11 about 19 s and 16 MB for 205 MB of lines (317 MB of json).  Each
 # level past that is about 8x the text and the time.
 GENERATE_CAP = 11
-# Words formatted per write: with PYTHONUNBUFFERED set, a write per line
-# reaches the pipe as its own system call.
-GENERATE_BATCH = 4096
+# Words per write (with PYTHONUNBUFFERED each write is a system call).  A
+# batch holds its words, strings, text and bytes at once: 1024 peak 0.85 MB
+# below 4096 at n = 9, and at n = 11 their json (38 KB) fits a 64 KiB pipe.
+GENERATE_BATCH = 1024
 CENSUS_CAP = 9
-# Every verify suite but pde walks the tree to length n, the eco suite the
-# oracle's too; no walk holds a level: `--suite eco --n 10` 7.7 s, 15 MB.
+# Every suite but pde walks the tree to length n, labelling to n + 1 (all
+# 1,071,704 words of length 10 at n = 9), eco the oracle's too.  None holds
+# a level: at n = 9 labelling 1.2 s, eco 0.85 s, under 16 MB on one CPU.
 VERIFY_CAP = 9
 # `count --n 1000` and `triangle --which u --n 1000` hold one row of the
 # rule's census at a time: about 0.5 s and 19 MB, and, for the 435 MB of

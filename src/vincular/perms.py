@@ -266,7 +266,7 @@ def rtl_maxima(word: Sequence[int]) -> list[int]:
 
 def label(word: Sequence[int]) -> int:
     """Number of right-to-left maxima lying strictly to the right of the
-    entry 1.
+    entry 1, read in one pass from the right that stops at the 1.
 
     >>> label((8, 4, 6, 1, 7, 5, 2, 3))
     3
@@ -275,13 +275,11 @@ def label(word: Sequence[int]) -> int:
     >>> label((1, 2))
     1
     """
-    if len(word) == 0:
-        raise ValueError("label of the empty permutation is undefined")
-    pos1 = word.index(1)
-    count = 0
-    best = 0
-    for i in range(len(word) - 1, pos1, -1):
-        if word[i] > best:
+    count = best = 0
+    for v in reversed(word):
+        if v == 1:
+            return count
+        if v > best:
             count += 1
-            best = word[i]
-    return count
+            best = v
+    raise ValueError(f"label needs a word that holds the letter 1: {word}")

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -128,6 +129,16 @@ def test_generate_n1(capsys, fmt, expected):
 def test_generate_n8_output_is_unchanged(capsys, fmt):
     code, out, _ = run(capsys, "generate", "--n", "8", "--format", fmt)
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GENERATE_SHA256[8, fmt]
+
+
+@pytest.mark.parametrize("fmt", ["lines", "json"])
+def test_generate_writes_fit_a_pipe_buffer(monkeypatch, fmt):
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    assert main(["generate", "--n", "8", "--format", fmt]) == 0
+    assert max(len(text.encode()) for text in writes) <= 64 * 1024
+    out = "".join(writes)
     assert hashlib.sha256(out.encode()).hexdigest() == GENERATE_SHA256[8, fmt]
 
 

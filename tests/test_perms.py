@@ -100,11 +100,25 @@ def test_label_examples():
         label(())
 
 
+@pytest.mark.parametrize("word", [(2, 3), [3, 2], (5, 4, 3, 2)])
+def test_label_rejects_a_word_without_one(word):
+    with pytest.raises(ValueError):
+        label(word)
+
+
 def test_label_counts_rtl_maxima_right_of_one():
     for n in range(1, 7):
         for w in permutations(range(1, n + 1)):
             pos1 = w.index(1) + 1
             assert label(w) == sum(1 for p in rtl_maxima(w) if p > pos1)
+
+
+@settings(max_examples=200, database=None, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_label_counts_rtl_maxima_right_of_one_long_words(w):
+    pos1 = w.index(1) + 1
+    expected = sum(1 for p in rtl_maxima(w) if p > pos1)
+    assert label(tuple(w)) == label(list(w)) == expected
 
 
 @st.composite
