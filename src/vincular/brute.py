@@ -38,8 +38,8 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import permutations
 
 from .blocks import PATTERN
-# ``generate_level`` is unused here; perfbench/tracing.py requires this binding.
-from .gentree import generate_level
+# Unused here; perfbench/tracing.py needs ``generate_level`` and the pool hook.
+from .gentree import __getattr__, generate_level
 from .perms import DashedPattern, Perm, avoids, label, occurs_ending_at
 
 # The walk holds no level: at n = 10, `count --method brute` takes 1.2 s
@@ -50,16 +50,6 @@ ENUMERATION_CAP = 10
 
 # Unused here; perfbench/tracing.py requires this entry.
 STATISTICS = {"label": label}
-
-
-# Unused here, but perfbench/tracing.py patches brute.ProcessPoolExecutor;
-# resolved on first access, since the pool stack costs ~20 ms per command.
-def __getattr__(name: str) -> type:
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _filter_avoiders(pattern: DashedPattern, n: int) -> list[Perm]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import islice
 
@@ -64,6 +65,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise ValueError(f"length must be nonnegative: {args.n}")
     pattern = parse_dashed_pattern(args.pattern)
+    if args.method in ("tree", "cfrac") and pattern != PATTERN:
+        raise ValueError(f"--method {args.method} is specific to {PATTERN}")
     if args.method == "recurrence":
         if pattern == PATTERN:
             _check_cap(args.n, RECURRENCE_CAP, "recurrence counting", args.force)
@@ -74,8 +77,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
         else:
             raise ValueError(f"no recurrence known for {pattern}; use --method brute")
     elif args.method == "tree":
-        if pattern != PATTERN:
-            raise ValueError(f"the tree construction is specific to {PATTERN}")
         _check_cap(args.n, GENERATE_CAP, "tree counting", args.force)
         # the empty word and the root; every longer word is a child in the walk
         values = [1, 1][: args.n + 1] + [0] * (args.n - 1)
@@ -85,8 +86,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
         _check_cap(args.n, brute.ENUMERATION_CAP, "brute counting", args.force)
         values = brute.level_sizes(pattern, args.n, force=args.force)
     else:
-        if pattern != PATTERN:
-            raise ValueError(f"the continued fraction is specific to {PATTERN}")
         _check_cap(args.n, CFRAC_CAP, "the continued fraction", args.force)
         comparison = counting.compare_cfrac_with_counts(args.n)
         if comparison.first_mismatch is not None:
@@ -246,10 +245,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, not at exit, so that a closed pipe lands below
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: drop what is left, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -35,14 +35,14 @@ ROOT: Perm = (1,)
 TREE_CAP = 8
 
 
-# Unused here, but perfbench/tracing.py patches gentree.ProcessPoolExecutor;
-# resolved on first access, since the pool stack costs ~20 ms per command.
+# Unused here and in brute, which imports this hook; perfbench/tracing.py patches
+# ProcessPoolExecutor in both, resolved on first access (the pool stack costs ~20 ms).
 def __getattr__(name: str) -> type:
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor
 
         return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    raise AttributeError(f"module has no attribute {name!r}")
 
 
 class SuccessionRule(NamedTuple):
@@ -168,16 +168,15 @@ def verify_labelling(n_max: int) -> LabellingReport:
     of its children in canonical order are exactly the productions of its
     own label under ``omega_rule``.  n_max must be at least 1.
 
-    The nodes are words built by the moves, so no node is validated again;
-    ``verify --suite eco`` checks that every node avoids 1-32-4, through
-    the scan that ``reduce`` runs on each child.
+    The root needs no check of its own: it is the walk's first node, and
+    label k has (k+1)(k+2)/2 + 1 productions, so only the axiom 0 matches
+    the root's two children.  The nodes are built by the moves, so none is
+    validated again; ``verify --suite eco`` checks that every node avoids
+    1-32-4, through the scan that ``reduce`` runs on each child.
     """
     if n_max < 1:
         raise ValueError(f"need at least length 1: {n_max}")
-    rule = omega_rule()
-    if label(ROOT) != rule.axiom:
-        return LabellingReport(False, 0, (ROOT, (rule.axiom,), (label(ROOT),)))
-    productions = functools.cache(rule.productions)  # once per label, not per node
+    productions = functools.cache(omega_rule().productions)  # once per label, not per node
     for checked, (node, children) in enumerate(walk(n_max + 1), 1):
         expected = productions(label(node))
         got = tuple(map(label, children))

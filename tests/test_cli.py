@@ -69,6 +69,16 @@ def test_count_cfrac_warns(capsys):
     assert code == 0
     assert out.splitlines() == ["1", "0", "2", "2", "5", "15", "48"]
     assert "disagrees" in err
+    # at order 0 the two agree, so there is no warning
+    assert run(capsys, "count", "--n", "0", "--method", "cfrac") == (0, "1\n", "")
+
+
+@pytest.mark.parametrize("method", ["tree", "cfrac"])
+def test_count_tree_and_cfrac_take_only_1_32_4(capsys, method):
+    code, out, err = run(capsys, "count", "--method", method, "--pattern", "1-23-4", "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert f"--method {method} is specific to 1-32-4" in err
 
 
 def test_generate_lines(capsys):
@@ -135,11 +145,39 @@ def test_generate_n8_output_is_unchanged(capsys, fmt):
 @pytest.mark.parametrize("fmt", ["lines", "json"])
 def test_generate_writes_fit_a_pipe_buffer(monkeypatch, fmt):
     writes = []
-    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append, flush=lambda: None))
     assert main(["generate", "--n", "8", "--format", fmt]) == 0
     assert max(len(text.encode()) for text in writes) <= 64 * 1024
     out = "".join(writes)
     assert hashlib.sha256(out.encode()).hexdigest() == GENERATE_SHA256[8, fmt]
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_pipe_ends_quietly(unbuffered):
+    # `generate --n 9 | head -1`: the reader leaves long before the 6.7 MB
+    # of lines are written, and the command exits 141 (128 + SIGPIPE)
+    # with nothing on stderr, with or without PYTHONUNBUFFERED
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(vincular.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    argv = [sys.executable, "-m", "vincular.cli", "generate", "--n", "9"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"9 8 7 6 5 4 3 2 1\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 141
+
+
+def test_closed_pipe_points_stdout_at_devnull(monkeypatch):
+    # the same in this process: once the pipe breaks, stdout's descriptor
+    # is the null device, so the flush at close (or at exit) cannot fail
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    with open(write_fd, "w") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["generate", "--n", "9"]) == 141
+        assert os.path.samestat(os.fstat(write_fd), os.stat(os.devnull))
 
 
 # A child's ru_maxrss starts from the RSS of the process that spawned it,
@@ -451,10 +489,11 @@ def test_verify_cap(capsys):
 
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_verify_labelling_needs_length_one(capsys, n):
-    code, out, err = run(capsys, "verify", "--suite", "labelling", "--n", n)
-    assert code == 2
-    assert out == ""
-    assert "at least length 1" in err
+    for suite in ("labelling", "eco"):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n", n)
+        assert code == 2
+        assert out == ""
+        assert "at least length 1" in err
 
 
 @pytest.mark.parametrize("suite", ["series", "pde"])

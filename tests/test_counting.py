@@ -126,6 +126,10 @@ def test_cfrac_comparison_reports_first_mismatch():
     assert cmp.series[0] == cmp.counts[0]
     assert cmp.series[1] != cmp.counts[1]
     assert "order 1" in str(cmp)
+    # order 0 holds only the empty word, on which the two agree
+    cmp = compare_cfrac_with_counts(0)
+    assert cmp.first_mismatch is None
+    assert "matches" in str(cmp)
 
 
 def test_label_series_matches_v_triangle():
@@ -173,6 +177,7 @@ def test_pde_reports_a_wrong_census_entry(monkeypatch):
     monkeypatch.setattr(counting, "triangle_rows", lambda rule, n_max: iter(rows))
     report = check_pde(6)
     assert not report.ok
+    assert "fails through z^6" in str(report)
     assert report.tried == (
         ("label-plus-one", ((4, 2), 1)),
         ("label", ((1, 0), 1)),
@@ -316,6 +321,8 @@ def test_callan_triangle_equals_triple_sum():
     assert {(n, k): tri.value(n, k) for (n, k) in table} == table
     for n in range(1, 26):
         assert tri.row(n) == {k: table[(n, k)] for k in range(1, n + 1)}
+    with pytest.raises(ValueError):
+        callan_3142_triangle(-1)
 
 
 def test_lookups_outside_the_triangle():

@@ -13,6 +13,7 @@ from vincular import brute, cli, eco, gentree
 from vincular.counting import avoider_counts
 from vincular.eco import expand, reduce
 from vincular.gentree import (
+    ROOT,
     _dot_name,
     export_tree,
     generate_level,
@@ -219,6 +220,10 @@ def test_pool_modules_bind_process_pool_executor(monkeypatch):
     # although neither module starts a pool now.
     assert gentree.ProcessPoolExecutor is ProcessPoolExecutor
     assert brute.ProcessPoolExecutor is ProcessPoolExecutor
+    # one hook serves both, and it resolves no other name
+    assert brute.__getattr__ is gentree.__getattr__
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        brute.nonexistent
     # A traced pass with no commands installs every wrapper and removes it
     # again; it raises if a function in FUNCTIONS, a pool binding in POOLS
     # or a binding in REQUIRED is gone.
@@ -273,6 +278,17 @@ def test_verify_labelling_reports_the_parent_of_a_mislabelled_word(monkeypatch):
     report = verify_labelling(5)
     assert not report.ok
     assert report.first_violation[0] == reduce(w)
+
+
+def test_verify_labelling_reports_a_root_off_the_axiom(monkeypatch):
+    # the root is the walk's first node, checked like any other: label 1
+    # asks for four children where the root has two
+    monkeypatch.setattr(gentree, "label", lambda word: label(word) + (word == ROOT))
+    report = verify_labelling(3)
+    assert not report.ok
+    assert report.nodes_checked == 1
+    assert report.first_violation == (ROOT, (0, 1, 1, 2), (0, 1))
+    assert str(report) == "labelling broken at (1,): expected (0, 1, 1, 2), got (0, 1)"
 
 
 def test_verify_labelling_decomposes_nothing(monkeypatch):

@@ -50,6 +50,8 @@ def test_parse_dashed_pattern_rejects_garbage():
         parse_dashed_pattern("")
     with pytest.raises(ValueError):
         DashedPattern((1, 2), (True, True))
+    with pytest.raises(ValueError, match="empty pattern"):
+        DashedPattern((), ())
 
 
 def test_occurrences_against_definition():
