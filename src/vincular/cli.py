@@ -14,7 +14,8 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
+from itertools import chain, cycle, islice
+from operator import getitem
 
 from . import brute, counting, gentree
 from .blocks import PATTERN
@@ -22,15 +23,12 @@ from .blocks import PATTERN
 from .eco import expand, reduce
 from .perms import parse_dashed_pattern
 
-# `generate` streams the walk and holds no level.  On one CPU of a 2-vCPU
-# x86-64 Xeon, Python 3.11, where `count --n 0` takes 0.09 s: n = 10 takes
-# about 1.9 s (20x that) and 16 MB for 22 MB of lines (35 MB of json),
-# n = 11 about 19 s and 16 MB for 205 MB of lines (317 MB of json).  Each
-# level past that is about 8x the text and the time.
+# `generate` streams the walk and holds no level.  One CPU of a 2-vCPU Xeon,
+# Python 3.11 (`count --n 0` 0.08 s): n = 10 about 2 s, n = 11 about 14 s
+# (205 MB of lines, 317 MB of json), in 15 MB; each level more is about 8x.
 GENERATE_CAP = 11
-# Words per write (with PYTHONUNBUFFERED each write is a system call).  A
-# batch holds its words, strings, text and bytes at once: 1024 peak 0.85 MB
-# below 4096 at n = 9, and at n = 11 their json (38 KB) fits a 64 KiB pipe.
+# Words per write, each write a system call with PYTHONUNBUFFERED: 1024 * n
+# letters, one text and no string per word, at n = 11 38 KB of json < 64 KiB.
 GENERATE_BATCH = 1024
 CENSUS_CAP = 9
 # Every suite but pde walks the tree to length n, labelling to n + 1 (all
@@ -98,19 +96,21 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     _check_cap(args.n, GENERATE_CAP, "generating", args.force)
-    words = gentree.iter_level(args.n)
-    text = [str(v) for v in range(args.n + 1)]
-    if args.format == "lines":
-        while batch := list(islice(words, GENERATE_BATCH)):
-            sys.stdout.write("".join([" ".join([text[v] for v in word]) + "\n" for word in batch]))
-    else:
-        # json.dumps(level) and a newline, one batch of items at a time
-        sep = "["
-        while batch := list(islice(words, GENERATE_BATCH)):
-            items = ", ".join(["[" + ", ".join([text[v] for v in word]) + "]" for word in batch])
-            sys.stdout.write(sep + items)
-            sep = ", "
-        sys.stdout.write("]\n")
+    n, lines = args.n, args.format == "lines"
+    letters = chain.from_iterable(gentree.iter_level(n))
+    # tables[i][v] is the text of value v at position i, with its punctuation
+    start, sep, end = ("", " ", "\n") if lines else (", [", ", ", "]")
+    tables = [
+        [start * (i == 0) + str(v) + (sep if i < n - 1 else end) for v in range(n + 1)]
+        for i in range(n)
+    ]
+    # a new cycle per batch: map takes one table before it finds the letters gone
+    size = GENERATE_BATCH * n
+    batches = iter(lambda: "".join(map(getitem, cycle(tables), islice(letters, size))), "")
+    if not lines:  # json.dumps(level) and a newline: the first item drops its ", "
+        batches = chain(["[" + next(batches)[2:]], batches, ["]\n"])
+    for text in batches:
+        sys.stdout.write(text)
     return 0
 
 

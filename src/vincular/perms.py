@@ -113,7 +113,7 @@ def parse_dashed_pattern(text: str) -> DashedPattern:
         for ti, tok in enumerate(tokens):
             if ti > 0:
                 adjacency.append(True)
-            if not tok.isdigit() or int(tok) == 0:
+            if not (tok.isascii() and tok.isdigit()) or int(tok) == 0:
                 raise ValueError(f"bad value {tok!r} in pattern: {text!r}")
             values.append(int(tok))
     return DashedPattern(tuple(values), tuple(adjacency))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -150,6 +151,34 @@ def test_generate_writes_fit_a_pipe_buffer(monkeypatch, fmt):
     assert max(len(text.encode()) for text in writes) <= 64 * 1024
     out = "".join(writes)
     assert hashlib.sha256(out.encode()).hexdigest() == GENERATE_SHA256[8, fmt]
+
+
+def slow_generate(level, fmt):
+    # the reference for `generate`: one string per word, or json.dumps
+    if fmt == "lines":
+        return "".join(" ".join(map(str, word)) + "\n" for word in level)
+    return json.dumps([list(word) for word in level]) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["lines", "json"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_generate_equals_slow_reference(capsys, n, fmt):
+    expected = slow_generate(gentree.generate_level(n), fmt)
+    assert run(capsys, "generate", "--n", str(n), "--format", fmt) == (0, expected, "")
+
+
+@pytest.mark.parametrize("fmt", ["lines", "json"])
+def test_generate_two_digit_letters_fit_a_pipe_buffer(monkeypatch, fmt):
+    # 2,500 words of 11 letters, two full batches and a short one, with 10
+    # and 11 at every position, and no walk of level 11
+    rng = random.Random(11)
+    words = [tuple(rng.sample(range(1, 12), 11)) for _ in range(2500)]
+    monkeypatch.setattr(cli.gentree, "iter_level", lambda n: iter(words))
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append, flush=lambda: None))
+    code = main(["generate", "--n", "11", "--format", fmt])
+    assert (code, "".join(writes)) == (0, slow_generate(words, fmt))
+    assert max(len(text.encode()) for text in writes) <= 64 * 1024
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])

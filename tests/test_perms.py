@@ -52,6 +52,10 @@ def test_parse_dashed_pattern_rejects_garbage():
         DashedPattern((1, 2), (True, True))
     with pytest.raises(ValueError, match="empty pattern"):
         DashedPattern((), ())
+    # only ASCII digits are values, though str.isdigit and int take others
+    for text in ("١-٣٢-٤", "𝟏-32-4", "1,٣,2", "1-3²-4"):
+        with pytest.raises(ValueError, match="bad value"):
+            parse_dashed_pattern(text)
 
 
 def test_occurrences_against_definition():
