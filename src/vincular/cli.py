@@ -3,7 +3,9 @@
 Subcommands: ``count`` for the counting sequence by several methods,
 ``generate`` for the avoiders themselves, ``triangle`` for csv dumps of
 the refinement triangles, ``tree`` for dot or json exports of the
-generating tree, and ``verify`` to run the consistency suites.  Output is
+generating tree, and ``verify`` to run the consistency suites.  Each
+command returns its exit status and its text as an iterable of strings,
+and writes nothing; ``main`` alone writes that text to stdout.  Output is
 deterministic; caps that protect against runaway enumerations can be
 lifted with ``--force``.
 """
@@ -13,7 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
+from collections.abc import Iterable
 from itertools import chain, cycle, islice
 from operator import getitem
 
@@ -52,14 +56,21 @@ def _check_cap(n: int, cap: int, what: str, force: bool) -> None:
         raise ValueError(f"{what} past n={cap} needs --force")
 
 
+def _integer(text: str) -> int:
+    # ASCII digits only: int() also takes other scripts' digits, "1_0" and " 2 "
+    if not re.fullmatch("-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1: {value}")
     return value
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     if args.n < 0:
         raise ValueError(f"length must be nonnegative: {args.n}")
     pattern = parse_dashed_pattern(args.pattern)
@@ -89,12 +100,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
         if comparison.first_mismatch is not None:
             print(f"warning: {comparison}", file=sys.stderr)
         values = list(comparison.series)
-    for value in values:
-        print(value)
-    return 0
+    return 0, (f"{value}\n" for value in values)
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
+def _cmd_generate(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     _check_cap(args.n, GENERATE_CAP, "generating", args.force)
     n, lines = args.n, args.format == "lines"
     letters = chain.from_iterable(gentree.iter_level(n))
@@ -109,12 +118,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     batches = iter(lambda: "".join(map(getitem, cycle(tables), islice(letters, size))), "")
     if not lines:  # json.dumps(level) and a newline: the first item drops its ", "
         batches = chain(["[" + next(batches)[2:]], batches, ["]\n"])
-    for text in batches:
-        sys.stdout.write(text)
-    return 0
+    return 0, batches
 
 
-def _cmd_triangle(args: argparse.Namespace) -> int:
+def _cmd_triangle(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     if args.which == "census":
         _check_cap(args.n, CENSUS_CAP, "brute census", args.force)
         rows = brute.census_rows(PATTERN, args.n, force=args.force)
@@ -122,16 +129,12 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
         _check_cap(args.n, RECURRENCE_CAP, f"triangle {args.which}", args.force)
         rule = gentree.lambda_rule() if args.which == "u" else gentree.omega_rule()
         rows = counting.triangle_rows(rule, args.n)
-    # a write per row: with PYTHONUNBUFFERED set, each write is a system call
-    sys.stdout.writelines(counting.csv_rows(rows))
-    return 0
+    return 0, counting.csv_rows(rows)
 
 
-def _cmd_tree(args: argparse.Namespace) -> int:
+def _cmd_tree(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     pieces = gentree.export_tree(args.n, args.format, force=args.force)
-    while batch := list(islice(pieces, GENERATE_BATCH)):
-        sys.stdout.write("".join(batch))
-    return 0
+    return 0, ("".join(batch) for batch in iter(lambda: list(islice(pieces, GENERATE_BATCH)), []))
 
 
 def _verify_eco(n_max: int, force: bool) -> tuple[bool, str]:
@@ -167,32 +170,31 @@ def _verify_eco(n_max: int, force: bool) -> tuple[bool, str]:
     return True, f"tree agrees with brute force {through}; reduce inverts expand {through}"
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     wanted = ("eco", "labelling", "series", "pde") if args.suite == "all" else (args.suite,)
     _check_cap(args.n, PDE_CAP if wanted == ("pde",) else VERIFY_CAP, "verifying", args.force)
     results: dict[str, dict[str, object]] = {}
     for suite in wanted:
         if suite == "eco":
             ok, detail = _verify_eco(args.n, args.force)
-        elif suite == "labelling":
-            report = gentree.verify_labelling(args.n)
-            ok, detail = report.ok, str(report)
         elif suite == "series":
             fe = counting.check_functional_equation(args.n)
             cf = counting.compare_cfrac_with_counts(args.n)
             ok = fe.ok
             detail = f"functional equation: {fe}; note: {cf}"
         else:
-            report_pde = counting.check_pde(args.n)
-            ok, detail = report_pde.ok, str(report_pde)
+            check = gentree.verify_labelling if suite == "labelling" else counting.check_pde
+            report = check(args.n)
+            ok, detail = report.ok, str(report)
         results[suite] = {"ok": ok, "detail": detail}
     all_ok = all(bool(r["ok"]) for r in results.values())
     if args.json:
-        print(json.dumps({"n": args.n, "ok": all_ok, "suites": results}, indent=2))
+        text = json.dumps({"n": args.n, "ok": all_ok, "suites": results}, indent=2) + "\n"
     else:
-        for suite, r in results.items():
-            print(f"{suite}: {'ok' if r['ok'] else 'FAIL'} ({r['detail']})")
-    return 0 if all_ok else 1
+        text = "".join(
+            f"{suite}: {'ok' if r['ok'] else 'FAIL'} ({r['detail']})\n" for suite, r in results.items()
+        )
+    return (0 if all_ok else 1), [text]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,24 +206,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     count = sub.add_parser("count", help="print the counting sequence for lengths 0..n")
     count.add_argument("--pattern", default="1-32-4")
-    count.add_argument("--n", type=int, required=True)
+    count.add_argument("--n", type=_integer, required=True)
     count.add_argument(
         "--method", choices=("tree", "recurrence", "brute", "cfrac"), default="recurrence"
     )
     count.set_defaults(func=_cmd_count)
 
     generate = sub.add_parser("generate", help="print all avoiders of length n in tree order")
-    generate.add_argument("--n", type=int, required=True)
+    generate.add_argument("--n", type=_integer, required=True)
     generate.add_argument("--format", choices=("lines", "json"), default="lines")
     generate.set_defaults(func=_cmd_generate)
 
     triangle = sub.add_parser("triangle", help="csv dump of a refinement triangle")
     triangle.add_argument("--which", choices=("u", "v", "census"), required=True)
-    triangle.add_argument("--n", type=int, required=True)
+    triangle.add_argument("--n", type=_integer, required=True)
     triangle.set_defaults(func=_cmd_triangle)
 
     tree = sub.add_parser("tree", help="export the generating tree")
-    tree.add_argument("--n", type=int, required=True)
+    tree.add_argument("--n", type=_integer, required=True)
     tree.add_argument("--format", choices=("dot", "json"), default="dot")
     tree.set_defaults(func=_cmd_tree)
 
@@ -229,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--suite", choices=("eco", "labelling", "series", "pde", "all"), default="all"
     )
-    verify.add_argument("--n", type=int, default=6)
+    verify.add_argument("--n", type=_integer, default=6)
     # verify-pool in perfbench/run.py passes --threads 2; it changes nothing
     verify.add_argument(
         "--threads", type=_positive_int, default=1, help="ignored: every command runs in one process"
@@ -245,7 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        code, texts = args.func(args)
+        # a write per text: with PYTHONUNBUFFERED set, each write is a system call
+        for text in texts:
+            sys.stdout.write(text)
         sys.stdout.flush()  # here, not at exit, so that a closed pipe lands below
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

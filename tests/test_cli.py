@@ -199,14 +199,50 @@ def test_closed_pipe_ends_quietly(unbuffered):
 
 
 def test_closed_pipe_points_stdout_at_devnull(monkeypatch):
-    # the same in this process: once the pipe breaks, stdout's descriptor
-    # is the null device, so the flush at close (or at exit) cannot fail
-    read_fd, write_fd = os.pipe()
-    os.close(read_fd)
-    with open(write_fd, "w") as out:
-        monkeypatch.setattr(sys, "stdout", out)
-        assert main(["generate", "--n", "9"]) == 141
-        assert os.path.samestat(os.fstat(write_fd), os.stat(os.devnull))
+    # the same in this process, for every command: once the pipe breaks,
+    # stdout's descriptor is the null device, so the flush at close (or at
+    # exit) cannot fail
+    for argv in (
+        ["generate", "--n", "9"],
+        ["count", "--n", "50"],
+        ["triangle", "--which", "v", "--n", "20"],
+        ["tree", "--n", "4"],
+        ["verify", "--n", "4", "--json"],
+    ):
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        with open(write_fd, "w") as out:
+            monkeypatch.setattr(sys, "stdout", out)
+            assert main(argv) == 141, argv
+            assert os.path.samestat(os.fstat(write_fd), os.stat(os.devnull)), argv
+
+
+class RefuseWrites:
+    def write(self, text):
+        raise AssertionError(f"a command wrote to stdout: {text[:40]!r}")
+
+    def flush(self):
+        raise AssertionError("a command flushed stdout")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--n", "5"],
+        ["generate", "--n", "4", "--format", "json"],
+        ["triangle", "--which", "v", "--n", "4"],
+        ["tree", "--n", "3", "--format", "json"],
+        ["verify", "--suite", "labelling", "--n", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_return_their_text_and_write_nothing(capsys, monkeypatch, argv):
+    # only main writes stdout: a command returns its status and its text
+    expected = run(capsys, *argv)
+    args = cli.build_parser().parse_args(argv)
+    monkeypatch.setattr(sys, "stdout", RefuseWrites())
+    code, texts = args.func(args)
+    assert (code, "".join(texts), "") == expected
 
 
 # A child's ru_maxrss starts from the RSS of the process that spawned it,
@@ -262,6 +298,29 @@ def test_threads_below_one_rejected_at_parse_time(capsys, threads):
         main(["verify", "--n", "9", "--threads", threads])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+INTEGER_OPTIONS = {
+    "count": ["count", "--n"],
+    "generate": ["generate", "--n"],
+    "triangle": ["triangle", "--which", "v", "--n"],
+    "tree": ["tree", "--n"],
+    "verify": ["verify", "--n"],
+    "threads": ["verify", "--n", "3", "--threads"],
+}
+
+
+@pytest.mark.parametrize("text", ["\u0663", "\u0662", "1_0", " 2 ", "+2", "2\n", "0x2"])
+@pytest.mark.parametrize("option", INTEGER_OPTIONS)
+def test_integer_options_take_ascii_digits_only(capsys, option, text):
+    # int() reads "\u0663" (Arabic-Indic 3), "1_0" and " 2 "; the options do not
+    argv = INTEGER_OPTIONS[option]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, text])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {argv[-1]}: invalid int value: {text!r}" in err
 
 
 def test_threads_is_a_verify_option_only(capsys):
