@@ -28,8 +28,8 @@ from .eco import expand, reduce
 from .perms import parse_dashed_pattern
 
 # `generate` streams the walk and holds no level.  One CPU of a 2-vCPU Xeon,
-# Python 3.11 (`count --n 0` 0.08 s): n = 10 about 2 s, n = 11 about 14 s
-# (205 MB of lines, 317 MB of json), in 15 MB; each level more is about 8x.
+# Python 3.11 (`count --n 0` 0.09 s): n = 10 about 1.7 s in 16 MB, n = 11
+# about 11 s (205 MB of lines, 317 MB of json) in 18 MB; each level ~8x.
 GENERATE_CAP = 11
 # Words per write, each write a system call with PYTHONUNBUFFERED: 1024 * n
 # letters, one text and no string per word, at n = 11 38 KB of json < 64 KiB.

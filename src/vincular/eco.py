@@ -11,11 +11,11 @@ builds the whole class as a tree.
 the word, and cuts the letters after the 2 with ``blocks.runs`` only when
 2 precedes 1; ``expand`` reads the label k with ``perms.label``.
 
-A tree node is its word and nothing else.  ``_children`` is the one place
-the moves are applied: it moves the word up by one, so the old minimum
-becomes 2 and the new minimum 1, and slices each child out of it.  It
-finds the run offsets in its own loop: reading them off ``blocks.runs``
-made this hot path 8-11% slower over the 24,470 nodes ``walk(9)`` expands.
+A tree node is its word and nothing else.  ``_plan`` is the one place the
+moves are written: it turns a shape, the run offsets of a last block, into
+one ``itemgetter`` per child.  ``_children`` finds the offsets in its own
+loop (``blocks.runs`` was 8-11% slower on ``walk(9)``'s 24,470 nodes) and
+reads each child off the word moved up by one, with a new 1 appended.
 Children produced by ``MoveAll`` and ``Partial`` place the new minimum
 after the old one (the entry 2 of the child precedes its 1), ``Insert``
 children do the opposite.  ``gentree.walk`` applies ``_children`` down
@@ -24,6 +24,7 @@ the tree; ``expand`` is one step of it behind validation of its input.
 
 from __future__ import annotations
 
+import functools
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -37,15 +38,15 @@ class MoveAll(NamedTuple):
 
 
 class Partial(NamedTuple):
-    """Run j of the last i+1 runs jumps in front of the new minimum; the
-    other i of them stay behind it."""
+    """New minimum goes before the last i+1 runs, then run j of them jumps
+    in front of it; the other i stay behind it, in order."""
 
     i: int
     j: int
 
 
 class Insert(NamedTuple):
-    """New minimum becomes the head of the last block, placed just before
+    """New minimum heads the last block and the old one goes just before
     its p-th run (after all runs when p is the old label plus one)."""
 
     p: int
@@ -84,42 +85,45 @@ def reduce(word: Sequence[int]) -> Perm:
     return tuple([v - 1 for v in flat])
 
 
+@functools.lru_cache(maxsize=1024)  # walk(11) at the generate cap meets 1,023
+def _plan(off: tuple[int, ...]) -> tuple[itemgetter, ...]:
+    """One getter per child of a shape, in canonical order.  ``off`` holds
+    where each run of the last block starts, then the length m; the old
+    minimum, now 2, sits at ``off[0] - 1`` and the new 1 is appended at m.
+    A child has two letters or more, so each getter returns a tuple."""
+    one, m = off[0] - 1, off[-1]
+    moves = []
+    for cut in reversed(range(len(off) - 1)):  # Partial: a run from cut on jumps before the 1
+        a = off[cut]
+        for s, e in zip(off[cut:], off[cut + 1 :]):
+            moves.append([*range(a), *range(s, e), m, *range(a, s), *range(e, m)])
+    moves.append([*range(one + 1), m, *range(one + 1, m)])  # MoveAll
+    for o in off:  # Insert: the 2 goes before each run in turn, then last
+        moves.append([*range(one), m, *range(one + 1, o), one, *range(o, m)])
+    return tuple([itemgetter(*move) for move in moves])
+
+
 def _children(word: Perm) -> list[Perm]:
     """Child words of a tree node, in canonical order, built from the moves
     alone: every child of an avoider is an avoider, so nothing is checked
     or decomposed again.
 
     The letters after the 1 are the last block, and its increasing runs
-    break exactly at the descents there.  Each child is a few slices of
-    the word moved up by one, in which the old minimum becomes 2 and the
-    new minimum 1.
+    break exactly at the descents there.  Their offsets pick the node's
+    ``_plan``, whose getters read each child off the word moved up by one.
     """
     one = word.index(1)
-    up = tuple([v + 1 for v in word])
-    head = up[: one + 1]  # up to the old minimum, now 2
-    f = up[one + 1 :]  # the last block's runs
-    off = [0]  # off[p] is where run p starts in f, off[k] its length
+    off = [one + 1]  # where each run starts, then the length
     prev = 0
-    for pos, v in enumerate(f):
+    for pos, v in enumerate(word[one + 1 :], one + 1):
         if v < prev:
             off.append(pos)
         prev = v
-    if f:
-        off.append(len(f))
-    k = len(off) - 1
-    out: list[Perm] = []
-    for i in range(k):  # Partial(i, r - cut + 1): run r jumps before the 1
-        cut = k - i - 1
-        a = off[cut]
-        left = head + f[:a]
-        for r in range(cut, k):
-            s, e = off[r], off[r + 1]
-            out.append(left + f[s:e] + (1,) + f[a:s] + f[e:])
-    out.append(head + (1,) + f)  # MoveAll
-    lead = up[:one] + (1,)
-    for o in off:  # Insert: the 2 goes before each run in turn, then last
-        out.append(lead + f[:o] + (2,) + f[o:])
-    return out
+    if len(word) > one + 1:
+        off.append(len(word))
+    up = [v + 1 for v in word]
+    up.append(1)
+    return [get(up) for get in _plan(tuple(off))]
 
 
 def expand(word: Sequence[int]) -> list[tuple[ChildSpec, Perm]]:

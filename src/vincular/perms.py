@@ -255,7 +255,7 @@ def rtl_maxima(word: Sequence[int]) -> list[int]:
     []
     """
     positions: list[int] = []
-    best = 0
+    best = min(word, default=0) - 1  # below every entry
     for i in range(len(word) - 1, -1, -1):
         if word[i] > best:
             positions.append(i + 1)
@@ -265,8 +265,8 @@ def rtl_maxima(word: Sequence[int]) -> list[int]:
 
 
 def label(word: Sequence[int]) -> int:
-    """Number of right-to-left maxima lying strictly to the right of the
-    entry 1, read in one pass from the right that stops at the 1.
+    """Number of right-to-left maxima right of the 1, in one pass from the
+    right that stops there; it assumes a permutation, so starts from 0.
 
     >>> label((8, 4, 6, 1, 7, 5, 2, 3))
     3

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 from vincular import perms
 from vincular.blocks import decompose
-from vincular.eco import Insert, MoveAll, Partial, _children, expand, reduce
-from vincular.gentree import verify_labelling
+from vincular.eco import Insert, MoveAll, Partial, _children, _plan, expand, reduce
+from vincular.gentree import ROOT, verify_labelling, walk
 from vincular.perms import label
 
 
@@ -107,7 +109,7 @@ def test_no_generic_search_behind_expand_or_reduce(brute_levels, monkeypatch):
 
 
 def test_children_are_distinct_and_reduce_to_their_node(brute_levels):
-    # reduce and decompose share no code with the slicing in _children:
+    # reduce and decompose share no code with the plans of _children:
     # reduce splits the letters after its 2 into runs of its own,
     # decompose counts the runs of the last block
     checked = 0
@@ -121,3 +123,73 @@ def test_children_are_distinct_and_reduce_to_their_node(brute_levels):
             checked += 1
     # every avoider of length 1..7
     assert checked == 1 + 2 + 6 + 23 + 105 + 549 + 3207
+
+
+def _reference_children(word):
+    # the children as the docstrings of the moves state them, from the
+    # blocks of the word moved up by one: the old minimum becomes 2 and
+    # heads the last block, and the new minimum is 1
+    def up(letters):
+        return tuple(v + 1 for v in letters)
+
+    def flat(runs):
+        return tuple(v for run in runs for v in run)
+
+    *front, last = decompose(word)
+    prefix = up(flat((b.minimum, *flat(b.runs)) for b in front))
+    runs = [up(run) for run in last.runs]
+    k = len(runs)
+    out = []
+    for i in range(k):
+        # Partial(i, j): run j of the last i+1 runs jumps in front of the
+        # new minimum, and the other i stay behind it
+        before, tail = runs[: k - i - 1], runs[k - i - 1 :]
+        for j in range(1, i + 2):
+            behind = tail[: j - 1] + tail[j:]
+            child = prefix + (2,) + flat(before) + tail[j - 1] + (1,) + flat(behind)
+            out.append((Partial(i, j), child))
+    # MoveAll: the new minimum right after the old one, every run behind it
+    out.append((MoveAll(), prefix + (2, 1) + flat(runs)))
+    for p in range(1, k + 2):
+        # Insert(p): the new minimum heads the last block, and the old one
+        # goes just before its p-th run, or after every run
+        out.append((Insert(p), prefix + (1,) + flat(runs[: p - 1]) + (2,) + flat(runs[p - 1 :])))
+    return out
+
+
+def test_children_equal_the_moves_as_documented(brute_levels):
+    # every avoider of length 1..7, element by element and in order
+    checked = 0
+    for n in range(1, 8):
+        for word in brute_levels[n]:
+            reference = _reference_children(word)
+            assert _children(word) == [child for _, child in reference], word
+            assert expand(word) == reference, word
+            checked += 1
+    assert checked == 3893
+
+
+def test_plan_memo_holds_one_plan_per_shape():
+    # a shape is the length, the place of the 1 and the run offsets of the
+    # last block: 2^(m-1) shapes of length m, 255 for the nodes of walk(9)
+    _plan.cache_clear()
+    for _ in walk(9):
+        pass
+    assert _plan.cache_info().misses == 255
+    for _ in walk(9):
+        pass
+    assert _plan.cache_info().misses == 255
+    # 25 random walks to length 40 that expand every child on the way
+    # meet more shapes than the memo holds; plans built again after an
+    # eviction still give the documented children
+    rng = random.Random(3)
+    for _ in range(25):
+        parent = ROOT
+        while len(parent) < 40:
+            children = [child for _, child in expand(parent)]
+            for child in children:
+                expand(child)
+            parent = rng.choice(children)
+        assert _children(parent) == [child for _, child in _reference_children(parent)]
+    info = _plan.cache_info()
+    assert info.misses > info.maxsize >= info.currsize

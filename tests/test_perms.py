@@ -96,6 +96,16 @@ def test_extrema_positions():
     assert rtl_maxima(()) == []
 
 
+@pytest.mark.parametrize(
+    "word",
+    [(0,), (5, 0, -3), (-1,), (-3, -1, -2), (0, -5, 2, -7), (-2, 4, 0, 3, -1), (7, -7, 0)],
+)
+def test_rtl_maxima_of_distinct_integers_below_one(word):
+    # a right-to-left maximum is larger than every entry to its right
+    expected = [i + 1 for i, v in enumerate(word) if all(v > u for u in word[i + 1 :])]
+    assert rtl_maxima(word) == expected
+
+
 def test_label_examples():
     assert label((8, 4, 6, 1, 7, 5, 2, 3)) == 3
     assert label((1,)) == 0
