@@ -49,6 +49,7 @@ RECURRENCE_CAP = 1000
 CALLAN_CAP = 300
 CFRAC_CAP = 60
 PDE_CAP = 400
+SUITES = ("eco", "labelling", "series", "pde")
 
 
 def _check_cap(n: int, cap: int, what: str, force: bool) -> None:
@@ -171,7 +172,7 @@ def _verify_eco(n_max: int, force: bool) -> tuple[bool, str]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
-    wanted = ("eco", "labelling", "series", "pde") if args.suite == "all" else (args.suite,)
+    wanted = SUITES if args.suite == "all" else (args.suite,)
     _check_cap(args.n, PDE_CAP if wanted == ("pde",) else VERIFY_CAP, "verifying", args.force)
     results: dict[str, dict[str, object]] = {}
     for suite in wanted:
@@ -228,9 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     tree.set_defaults(func=_cmd_tree)
 
     verify = sub.add_parser("verify", help="run consistency suites; exit 0 only if all pass")
-    verify.add_argument(
-        "--suite", choices=("eco", "labelling", "series", "pde", "all"), default="all"
-    )
+    verify.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     verify.add_argument("--n", type=_integer, default=6)
     # verify-pool in perfbench/run.py passes --threads 2; it changes nothing
     verify.add_argument(

@@ -9,27 +9,27 @@ builds the whole class as a tree.
 ``reduce`` and ``expand`` validate their input once, with the scan of
 ``blocks.check_avoider``.  ``reduce`` then reads the parent straight off
 the word, and cuts the letters after the 2 with ``blocks.runs`` only when
-2 precedes 1; ``expand`` reads the label k with ``perms.label``.
+2 precedes 1.
 
-A tree node is its word and nothing else.  ``_plan`` is the one place the
-moves are written: it turns a shape, the run offsets of a last block, into
-one ``itemgetter`` per child.  ``_children`` finds the offsets in its own
-loop (``blocks.runs`` was 8-11% slower on ``walk(9)``'s 24,470 nodes) and
-reads each child off the word moved up by one, with a new 1 appended.
-Children produced by ``MoveAll`` and ``Partial`` place the new minimum
-after the old one (the entry 2 of the child precedes its 1), ``Insert``
-children do the opposite.  ``gentree.walk`` applies ``_children`` down
-the tree; ``expand`` is one step of it behind validation of its input.
+A tree node is its word and nothing else.  ``_moves`` is the one place the
+moves and their canonical order are written: it yields each child of a
+shape, the run offsets of a last block, as its spec and the positions it
+reads.  ``_plan`` caches a shape's specs and ``itemgetter``s; ``_shape``
+finds the offsets in its own loop (``blocks.runs`` was 8-11% slower on
+``walk(9)``'s 24,470 nodes).  Children produced by ``MoveAll`` and
+``Partial`` place the new minimum after the old one (the entry 2 of the
+child precedes its 1), ``Insert`` children do the opposite.  ``expand``
+is one step of ``gentree.walk`` behind validation, with the plan's specs.
 """
 
 from __future__ import annotations
 
 import functools
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .blocks import check_avoider, runs
-from .perms import Perm, label
+from .perms import Perm
 
 
 class MoveAll(NamedTuple):
@@ -85,35 +85,32 @@ def reduce(word: Sequence[int]) -> Perm:
     return tuple([v - 1 for v in flat])
 
 
-@functools.lru_cache(maxsize=1024)  # walk(11) at the generate cap meets 1,023
-def _plan(off: tuple[int, ...]) -> tuple[itemgetter, ...]:
-    """One getter per child of a shape, in canonical order.  ``off`` holds
-    where each run of the last block starts, then the length m; the old
-    minimum, now 2, sits at ``off[0] - 1`` and the new 1 is appended at m.
-    A child has two letters or more, so each getter returns a tuple."""
-    one, m = off[0] - 1, off[-1]
-    moves = []
-    for cut in reversed(range(len(off) - 1)):  # Partial: a run from cut on jumps before the 1
+def _moves(off: tuple[int, ...]) -> Iterator[tuple[ChildSpec, list[int]]]:
+    """Each child's spec and the positions it reads, in canonical order.
+    ``off`` holds where each of the k runs of the last block starts, then
+    the length m; the old minimum, now 2, sits at ``off[0] - 1`` and the
+    new 1 is appended at m."""
+    one, m, k = off[0] - 1, off[-1], len(off) - 1
+    for cut in reversed(range(k)):  # Partial(i, j): run j of the last i+1 jumps before the 1
         a = off[cut]
-        for s, e in zip(off[cut:], off[cut + 1 :]):
-            moves.append([*range(a), *range(s, e), m, *range(a, s), *range(e, m)])
-    moves.append([*range(one + 1), m, *range(one + 1, m)])  # MoveAll
-    for o in off:  # Insert: the 2 goes before each run in turn, then last
-        moves.append([*range(one), m, *range(one + 1, o), one, *range(o, m)])
-    return tuple([itemgetter(*move) for move in moves])
+        for j, (s, e) in enumerate(zip(off[cut:], off[cut + 1 :]), 1):
+            yield Partial(k - 1 - cut, j), [*range(a), *range(s, e), m, *range(a, s), *range(e, m)]
+    yield MoveAll(), [*range(one + 1), m, *range(one + 1, m)]
+    for p, o in enumerate(off, 1):  # Insert(p): the 2 goes before run p, or after every run
+        yield Insert(p), [*range(one), m, *range(one + 1, o), one, *range(o, m)]
 
 
-def _children(word: Perm) -> list[Perm]:
-    """Child words of a tree node, in canonical order, built from the moves
-    alone: every child of an avoider is an avoider, so nothing is checked
-    or decomposed again.
+@functools.lru_cache(maxsize=1024)  # walk(11) at the generate cap meets 1,023
+def _plan(off: tuple[int, ...]) -> tuple[tuple[ChildSpec, ...], tuple[itemgetter, ...]]:
+    """A shape's specs and getters; a child has 2+ letters, so each getter gives a tuple."""
+    specs, moves = zip(*_moves(off))
+    return specs, tuple([itemgetter(*move) for move in moves])
 
-    The letters after the 1 are the last block, and its increasing runs
-    break exactly at the descents there.  Their offsets pick the node's
-    ``_plan``, whose getters read each child off the word moved up by one.
-    """
+
+def _shape(word: Perm) -> tuple[int, ...]:
+    """Run starts of the last block (the letters after the 1), then the length."""
     one = word.index(1)
-    off = [one + 1]  # where each run starts, then the length
+    off = [one + 1]  # the last block's runs break exactly at its descents
     prev = 0
     for pos, v in enumerate(word[one + 1 :], one + 1):
         if v < prev:
@@ -121,9 +118,16 @@ def _children(word: Perm) -> list[Perm]:
         prev = v
     if len(word) > one + 1:
         off.append(len(word))
+    return tuple(off)
+
+
+def _children(word: Perm) -> list[Perm]:
+    """Child words of a tree node, in canonical order, built from the moves
+    alone: every child of an avoider is an avoider, so nothing is checked
+    or decomposed again."""
     up = [v + 1 for v in word]
     up.append(1)
-    return [get(up) for get in _plan(tuple(off))]
+    return [get(up) for get in _plan(_shape(word))[1]]
 
 
 def expand(word: Sequence[int]) -> list[tuple[ChildSpec, Perm]]:
@@ -141,8 +145,4 @@ def expand(word: Sequence[int]) -> list[tuple[ChildSpec, Perm]]:
     Insert(p=2) (1, 3, 2)
     """
     w = check_avoider(word)
-    k = label(w)
-    specs: list[ChildSpec] = [Partial(i, j) for i in range(k) for j in range(1, i + 2)]
-    specs.append(MoveAll())
-    specs.extend(Insert(p) for p in range(1, k + 2))
-    return list(zip(specs, _children(w), strict=True))
+    return list(zip(_plan(_shape(w))[0], _children(w)))

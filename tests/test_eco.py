@@ -3,7 +3,7 @@ import random
 import pytest
 
 from vincular import perms
-from vincular.blocks import decompose
+from vincular.blocks import check_avoider, decompose
 from vincular.eco import Insert, MoveAll, Partial, _children, _plan, expand, reduce
 from vincular.gentree import ROOT, verify_labelling, walk
 from vincular.perms import label
@@ -158,26 +158,35 @@ def _reference_children(word):
 
 
 def test_children_equal_the_moves_as_documented(brute_levels):
-    # every avoider of length 1..7, element by element and in order
-    checked = 0
-    for n in range(1, 8):
-        for word in brute_levels[n]:
-            reference = _reference_children(word)
-            assert _children(word) == [child for _, child in reference], word
-            assert expand(word) == reference, word
-            checked += 1
-    assert checked == 3893
+    # every avoider of length 1..7, element by element and in order, then
+    # for each label k of 7..10, past the reach of those levels, a node
+    # whose last block is k one-letter runs, 1 k+1 k ... 2, and one with k
+    # two-letter runs after a prefix, 2k+2 1 2k 2k+1 2k-2 2k-1 ... 2 3
+    words = [word for n in range(1, 8) for word in brute_levels[n]]
+    assert len(words) == 3893
+    for k in range(7, 11):
+        pairs = [v for a in range(2 * k, 1, -2) for v in (a, a + 1)]
+        for word in (1, *range(k + 1, 1, -1)), (2 * k + 2, 1, *pairs):
+            assert label(check_avoider(word)) == k, word
+            words.append(word)
+    for word in words:
+        reference = _reference_children(word)
+        assert _children(word) == [child for _, child in reference], word
+        assert expand(word) == reference, word
 
 
 def test_plan_memo_holds_one_plan_per_shape():
     # a shape is the length, the place of the 1 and the run offsets of the
     # last block: 2^(m-1) shapes of length m, 255 for the nodes of walk(9)
     _plan.cache_clear()
-    for _ in walk(9):
-        pass
+    nodes = [node for node, _ in walk(9)]
     assert _plan.cache_info().misses == 255
     for _ in walk(9):
         pass
+    assert _plan.cache_info().misses == 255
+    # expand reads its specs from the same plans as _children
+    for node in nodes:
+        expand(node)
     assert _plan.cache_info().misses == 255
     # 25 random walks to length 40 that expand every child on the way
     # meet more shapes than the memo holds; plans built again after an
