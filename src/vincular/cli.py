@@ -17,23 +17,32 @@ import json
 import os
 import re
 import sys
-from collections.abc import Iterable
-from itertools import chain, cycle, islice
-from operator import getitem
+from collections.abc import Iterable, Iterator
+from itertools import chain, islice
+from operator import itemgetter
 
 from . import brute, counting, gentree
 from .blocks import PATTERN
 # ``expand`` is unused here; perfbench/tracing.py requires this binding.
-from .eco import expand, reduce
-from .perms import parse_dashed_pattern
+from .eco import _children, _shape, expand, reduce
+from .perms import Perm, parse_dashed_pattern
 
-# `generate` streams the walk and holds no level.  One CPU of a 2-vCPU Xeon,
-# Python 3.11 (`count --n 0` 0.09 s): n = 10 about 1.7 s in 16 MB, n = 11
-# about 11 s (205 MB of lines, 317 MB of json) in 18 MB; each level ~8x.
+# `generate` streams the walk and holds no level.  One CPU of a 2-vCPU AMD
+# EPYC, Python 3.11 (`count --n 0` 0.045 s): n = 10 about 0.3 s in 19 MB,
+# n = 11 about 2.1 s (205 MB of lines, 317 MB of json) in 27 MB; each level ~7x.
 GENERATE_CAP = 11
-# Words per write, each write a system call with PYTHONUNBUFFERED: 1024 * n
-# letters, one text and no string per word, at n = 11 38 KB of json < 64 KiB.
-GENERATE_BATCH = 1024
+# Levels that one template per shape spans below `generate`'s walk.  At
+# n = 11 the largest node text, of (1, 9, 8, 7, 6, 5, 4, 3, 2), is 46,472
+# bytes of json and the 256 templates take about 7 MB; 3 levels would
+# multiply both by about 8.
+GENERATE_DEPTH = 2
+# Each write is a system call with PYTHONUNBUFFERED, and a pipe holds 64 KiB:
+# `generate` cuts its text into writes of exactly that size.  Whole node texts,
+# of varying size, made the 64 KiB reads of perfbench/spawn.py vary too, and
+# its heap grew by about 3 MB a pass.
+WRITE_SIZE = 64 * 1024
+# Pieces per write of `tree`: each is a node's dot lines or a part of its json text.
+TREE_BATCH = 1024
 CENSUS_CAP = 9
 # Every suite but pde walks the tree to length n, labelling to n + 1 (all
 # 1,071,704 words of length 10 at n = 9), eco the oracle's too.  None holds
@@ -104,19 +113,52 @@ def _cmd_count(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     return 0, (f"{value}\n" for value in values)
 
 
+def _template(node: Perm, depth: int, start: str, sep: str, end: str) -> tuple[str, itemgetter]:
+    """The text of a node's descendants ``depth`` levels down, in tree order:
+    a %-format string over the texts of the node's letters, and the getter
+    that lists them.  Both hold for every node of the node's shape."""
+    words = [node]
+    for _ in range(depth):
+        words = [child for word in words for child in _children(word)]
+    # letters up to depth are new minima; each other one is a node letter moved up
+    where = {v + depth: pos for pos, v in enumerate(node)}
+    text = "".join(
+        start + sep.join(str(v) if v <= depth else "%s" for v in word) + end for word in words
+    )
+    return text, itemgetter(*[where[v] for word in words for v in word if v > depth])
+
+
+def _writes(texts: Iterable[str]) -> Iterator[str]:
+    """The texts, joined and cut into writes of ``WRITE_SIZE`` characters;
+    the last write is shorter, and none is empty."""
+    rest = ""
+    for text in texts:
+        rest += text
+        while len(rest) >= WRITE_SIZE:
+            yield rest[:WRITE_SIZE]
+            rest = rest[WRITE_SIZE:]
+    if rest:
+        yield rest
+
+
 def _cmd_generate(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     _check_cap(args.n, GENERATE_CAP, "generating", args.force)
     n, lines = args.n, args.format == "lines"
-    letters = chain.from_iterable(gentree.iter_level(n))
-    # tables[i][v] is the text of value v at position i, with its punctuation
+    depth = min(max(n - 1, 0), GENERATE_DEPTH)  # 0 for n < 1, which iter_level rejects
+    nodes = gentree.iter_level(n - depth)
     start, sep, end = ("", " ", "\n") if lines else (", [", ", ", "]")
-    tables = [
-        [start * (i == 0) + str(v) + (sep if i < n - 1 else end) for v in range(n + 1)]
-        for i in range(n)
-    ]
-    # a new cycle per batch: map takes one table before it finds the letters gone
-    size = GENERATE_BATCH * n
-    batches = iter(lambda: "".join(map(getitem, cycle(tables), islice(letters, size))), "")
+    texts = [str(v + depth) for v in range(n + 1)]  # a node letter's text, moved up
+    templates: dict[tuple[int, ...], tuple[str, itemgetter]] = {}
+
+    def node_texts() -> Iterator[str]:
+        for node in nodes:
+            shape = _shape(node)
+            if shape not in templates:
+                templates[shape] = _template(node, depth, start, sep, end)
+            template, get = templates[shape]
+            yield template % get([texts[v] for v in node])
+
+    batches = _writes(node_texts())
     if not lines:  # json.dumps(level) and a newline: the first item drops its ", "
         batches = chain(["[" + next(batches)[2:]], batches, ["]\n"])
     return 0, batches
@@ -135,7 +177,7 @@ def _cmd_triangle(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 
 def _cmd_tree(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     pieces = gentree.export_tree(args.n, args.format, force=args.force)
-    return 0, ("".join(batch) for batch in iter(lambda: list(islice(pieces, GENERATE_BATCH)), []))
+    return 0, ("".join(batch) for batch in iter(lambda: list(islice(pieces, TREE_BATCH)), []))
 
 
 def _verify_eco(n_max: int, force: bool) -> tuple[bool, str]:

@@ -16,10 +16,9 @@ moves and their canonical order are written: it yields each child of a
 shape, the run offsets of a last block, as its spec and the positions it
 reads.  ``_plan`` caches a shape's specs and ``itemgetter``s; ``_shape``
 finds the offsets in its own loop (``blocks.runs`` was 8-11% slower on
-``walk(9)``'s 24,470 nodes).  Children produced by ``MoveAll`` and
-``Partial`` place the new minimum after the old one (the entry 2 of the
-child precedes its 1), ``Insert`` children do the opposite.  ``expand``
-is one step of ``gentree.walk`` behind validation, with the plan's specs.
+``walk(9)``'s 24,470 nodes).  ``MoveAll`` and ``Partial`` children have
+their 2 before their 1, ``Insert`` children the opposite.  ``expand`` is
+one ``_children`` step behind validation, with its one plan's specs.
 """
 
 from __future__ import annotations
@@ -100,7 +99,7 @@ def _moves(off: tuple[int, ...]) -> Iterator[tuple[ChildSpec, list[int]]]:
         yield Insert(p), [*range(one), m, *range(one + 1, o), one, *range(o, m)]
 
 
-@functools.lru_cache(maxsize=1024)  # walk(11) at the generate cap meets 1,023
+@functools.lru_cache(maxsize=1024)  # `generate` at its cap meets 1,023: lengths 1 to 10
 def _plan(off: tuple[int, ...]) -> tuple[tuple[ChildSpec, ...], tuple[itemgetter, ...]]:
     """A shape's specs and getters; a child has 2+ letters, so each getter gives a tuple."""
     specs, moves = zip(*_moves(off))
@@ -121,13 +120,13 @@ def _shape(word: Perm) -> tuple[int, ...]:
     return tuple(off)
 
 
-def _children(word: Perm) -> list[Perm]:
+def _children(word: Perm, getters: tuple[itemgetter, ...] = ()) -> list[Perm]:
     """Child words of a tree node, in canonical order, built from the moves
-    alone: every child of an avoider is an avoider, so nothing is checked
-    or decomposed again."""
+    alone (the getters of its shape's plan, found if not given): every child
+    of an avoider is an avoider, so nothing is checked or decomposed again."""
     up = [v + 1 for v in word]
     up.append(1)
-    return [get(up) for get in _plan(_shape(word))[1]]
+    return [get(up) for get in getters or _plan(_shape(word))[1]]
 
 
 def expand(word: Sequence[int]) -> list[tuple[ChildSpec, Perm]]:
@@ -145,4 +144,5 @@ def expand(word: Sequence[int]) -> list[tuple[ChildSpec, Perm]]:
     Insert(p=2) (1, 3, 2)
     """
     w = check_avoider(word)
-    return list(zip(_plan(_shape(w))[0], _children(w)))
+    specs, getters = _plan(_shape(w))
+    return list(zip(specs, _children(w, getters)))

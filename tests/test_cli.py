@@ -1,9 +1,9 @@
 import hashlib
 import json
 import os
-import random
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -125,10 +125,11 @@ GENERATE_SHA256 = {
 
 @pytest.mark.parametrize("fmt", ["lines", "json"])
 def test_generate_n0_fails_before_any_output(capsys, fmt):
-    code, out, err = run(capsys, "generate", "--n", "0", "--format", fmt)
-    assert code == 2
-    assert out == ""
-    assert "positive" in err
+    for n in ("0", "-2"):  # the depth below the walk is found after the check
+        code, out, err = run(capsys, "generate", "--n", n, "--format", fmt)
+        assert code == 2, n
+        assert out == "", n
+        assert "positive" in err, n
 
 
 @pytest.mark.parametrize("fmt, expected", [("lines", "1\n"), ("json", "[[1]]\n")])
@@ -148,9 +149,22 @@ def test_generate_writes_fit_a_pipe_buffer(monkeypatch, fmt):
     writes = []
     monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append, flush=lambda: None))
     assert main(["generate", "--n", "8", "--format", fmt]) == 0
-    assert max(len(text.encode()) for text in writes) <= 64 * 1024
+    assert all(0 < len(text.encode()) <= 64 * 1024 for text in writes)
+    # each write but json's opener and the last text fills a pipe buffer
+    body = writes[1:-2] if fmt == "json" else writes[:-1]
+    assert body and {len(text) for text in body} == {64 * 1024}
     out = "".join(writes)
     assert hashlib.sha256(out.encode()).hexdigest() == GENERATE_SHA256[8, fmt]
+
+
+def test_generate_writes_are_cut_to_one_size():
+    # a text may straddle writes, and an exact multiple leaves no empty one
+    size = cli.WRITE_SIZE
+    texts = ["a" * (size - 1), "b" * (size + 1), "c" * 3, "d" * (size - 3)]
+    expected = "".join(texts)
+    assert list(cli._writes(texts)) == [expected[i : i + size] for i in (0, size, 2 * size)]
+    assert list(cli._writes(["e" * 5, "f"])) == ["eeeeef"]
+    assert list(cli._writes([])) == []
 
 
 def slow_generate(level, fmt):
@@ -167,18 +181,73 @@ def test_generate_equals_slow_reference(capsys, n, fmt):
     assert run(capsys, "generate", "--n", str(n), "--format", fmt) == (0, expected, "")
 
 
-@pytest.mark.parametrize("fmt", ["lines", "json"])
-def test_generate_two_digit_letters_fit_a_pipe_buffer(monkeypatch, fmt):
-    # 2,500 words of 11 letters, two full batches and a short one, with 10
-    # and 11 at every position, and no walk of level 11
-    rng = random.Random(11)
-    words = [tuple(rng.sample(range(1, 12), 11)) for _ in range(2500)]
-    monkeypatch.setattr(cli.gentree, "iter_level", lambda n: iter(words))
+# the node of length 9 with the longest text two levels down: 46,472 bytes of json
+LARGEST_NODE_9 = (1, 9, 8, 7, 6, 5, 4, 3, 2)
+
+
+def grandchildren(nodes):
+    return [word for node in nodes for _, child in eco.expand(node) for _, word in eco.expand(child)]
+
+
+def generate_from_level_9(monkeypatch, nodes, fmt):
+    """The writes of `generate --n 11` when level 9 is ``nodes``."""
+    levels = []
+    monkeypatch.setattr(cli.gentree, "iter_level", lambda n: levels.append(n) or iter(nodes))
     writes = []
     monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append, flush=lambda: None))
-    code = main(["generate", "--n", "11", "--format", fmt])
-    assert (code, "".join(writes)) == (0, slow_generate(words, fmt))
-    assert max(len(text.encode()) for text in writes) <= 64 * 1024
+    assert main(["generate", "--n", "11", "--format", fmt]) == 0
+    assert levels == [9]  # no walk of level 11, nor of 10
+    return writes
+
+
+@pytest.mark.parametrize("fmt", ["lines", "json"])
+def test_generate_two_digit_letters_fit_a_pipe_buffer(monkeypatch, fmt):
+    # 38 avoiders of length 9, the largest text among them; their 3,320
+    # grandchildren have 10 and 11 at every position and take more than one write
+    nodes = [*islice(gentree.iter_level(9), 0, None, 4001), LARGEST_NODE_9]
+    words = grandchildren(nodes)
+    assert all(any(word[i] == v for word in words) for v in (10, 11) for i in range(11))
+    writes = generate_from_level_9(monkeypatch, nodes, fmt)
+    assert "".join(writes) == slow_generate(words, fmt)
+    assert len(writes) > 1
+    assert all(0 < len(text.encode()) <= 64 * 1024 for text in writes)
+
+
+def test_generate_json_opens_on_one_large_node_text(monkeypatch):
+    # a level of one node: the first write is that node's whole text
+    writes = generate_from_level_9(monkeypatch, [LARGEST_NODE_9], "json")
+    text = slow_generate(grandchildren([LARGEST_NODE_9]), "json")
+    assert writes == [text[:-2], "]\n"]
+    assert len(writes[0]) == 46_472 - 1  # its ", " became "["
+
+
+def test_generate_builds_one_template_per_shape(capsys, monkeypatch):
+    # n = 9 walks to length 7 only: its 3,207 nodes take the text of their
+    # 143,239 grandchildren from 64 templates, one per shape of length 7
+    shapes, inside, seen = [], [], []
+    template, children = cli._template, eco._children
+
+    def counted_template(node, *rest):
+        shapes.append(eco._shape(node))
+        inside.append(node)
+        try:
+            return template(node, *rest)
+        finally:
+            inside.pop()
+
+    def counted_children(word, *rest):
+        if not inside:
+            seen.append(len(word))
+        return children(word, *rest)
+
+    monkeypatch.setattr(cli, "_template", counted_template)
+    monkeypatch.setattr(cli, "_children", counted_children)
+    monkeypatch.setattr(gentree, "_children", counted_children)
+    code, out, _ = run(capsys, "generate", "--n", "9")
+    assert (code, out.count("\n")) == (0, 143_239)
+    assert len(shapes) == len(set(shapes)) == 64
+    assert {shape[-1] for shape in shapes} == {7}
+    assert max(seen) == 6
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])

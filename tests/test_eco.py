@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from vincular import perms
+from vincular import eco, perms
 from vincular.blocks import check_avoider, decompose
 from vincular.eco import Insert, MoveAll, Partial, _children, _plan, expand, reduce
 from vincular.gentree import ROOT, verify_labelling, walk
@@ -173,6 +173,17 @@ def test_children_equal_the_moves_as_documented(brute_levels):
         reference = _reference_children(word)
         assert _children(word) == [child for _, child in reference], word
         assert expand(word) == reference, word
+
+
+def test_expand_finds_its_shape_once(monkeypatch):
+    # the specs and the children of one expand come from one plan
+    nodes = [node for node, _ in walk(6)]
+    shapes = []
+    shape = eco._shape
+    monkeypatch.setattr(eco, "_shape", lambda word: shapes.append(word) or shape(word))
+    for node in nodes:
+        expand(node)
+    assert shapes == nodes
 
 
 def test_plan_memo_holds_one_plan_per_shape():
