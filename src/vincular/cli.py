@@ -5,7 +5,8 @@ Subcommands: ``count`` for the counting sequence by several methods,
 the refinement triangles, ``tree`` for dot or json exports of the
 generating tree, and ``verify`` to run the consistency suites.  Each
 command returns its exit status and its text as an iterable of strings,
-and writes nothing; ``main`` alone writes that text to stdout.  Output is
+and writes nothing; ``main`` alone writes that text to stdout, cut into
+writes of ``WRITE_SIZE`` characters whatever the command.  Output is
 deterministic; caps that protect against runaway enumerations can be
 lifted with ``--force``.
 """
@@ -18,7 +19,7 @@ import os
 import re
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain, islice
+from itertools import chain
 from operator import itemgetter
 
 from . import brute, counting, gentree
@@ -37,12 +38,10 @@ GENERATE_CAP = 11
 # multiply both by about 8.
 GENERATE_DEPTH = 2
 # Each write is a system call with PYTHONUNBUFFERED, and a pipe holds 64 KiB:
-# `generate` cuts its text into writes of exactly that size.  Whole node texts,
-# of varying size, made the 64 KiB reads of perfbench/spawn.py vary too, and
-# its heap grew by about 3 MB a pass.
+# `main` cuts every command's text into writes of exactly that size.  Writes
+# of varying size make the 64 KiB reads of perfbench/spawn.py vary too, and
+# its heap grew by about 3 MB a pass (whole node texts of `generate`).
 WRITE_SIZE = 64 * 1024
-# Pieces per write of `tree`: each is a node's dot lines or a part of its json text.
-TREE_BATCH = 1024
 CENSUS_CAP = 9
 # Every suite but pde walks the tree to length n, labelling to n + 1 (all
 # 1,071,704 words of length 10 at n = 9), eco the oracle's too.  None holds
@@ -158,10 +157,10 @@ def _cmd_generate(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
             template, get = templates[shape]
             yield template % get([texts[v] for v in node])
 
-    batches = _writes(node_texts())
+    pieces = node_texts()
     if not lines:  # json.dumps(level) and a newline: the first item drops its ", "
-        batches = chain(["[" + next(batches)[2:]], batches, ["]\n"])
-    return 0, batches
+        pieces = chain(["[" + next(pieces)[2:]], pieces, ["]\n"])
+    return 0, pieces
 
 
 def _cmd_triangle(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
@@ -176,8 +175,7 @@ def _cmd_triangle(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 
 
 def _cmd_tree(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
-    pieces = gentree.export_tree(args.n, args.format, force=args.force)
-    return 0, ("".join(batch) for batch in iter(lambda: list(islice(pieces, TREE_BATCH)), []))
+    return 0, gentree.export_tree(args.n, args.format, force=args.force)
 
 
 def _verify_eco(n_max: int, force: bool) -> tuple[bool, str]:
@@ -289,8 +287,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, texts = args.func(args)
-        # a write per text: with PYTHONUNBUFFERED set, each write is a system call
-        for text in texts:
+        # one WRITE_SIZE cut of the text per write; with PYTHONUNBUFFERED, a system call
+        for text in _writes(texts):
             sys.stdout.write(text)
         sys.stdout.flush()  # here, not at exit, so that a closed pipe lands below
     except ValueError as exc:

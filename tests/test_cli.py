@@ -144,17 +144,52 @@ def test_generate_n8_output_is_unchanged(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == GENERATE_SHA256[8, fmt]
 
 
-@pytest.mark.parametrize("fmt", ["lines", "json"])
-def test_generate_writes_fit_a_pipe_buffer(monkeypatch, fmt):
+def recorded_writes(monkeypatch, argv):
     writes = []
     monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append, flush=lambda: None))
-    assert main(["generate", "--n", "8", "--format", fmt]) == 0
-    assert all(0 < len(text.encode()) <= 64 * 1024 for text in writes)
-    # each write but json's opener and the last text fills a pipe buffer
-    body = writes[1:-2] if fmt == "json" else writes[:-1]
-    assert body and {len(text) for text in body} == {64 * 1024}
+    assert main(argv) == 0
+    return writes
+
+
+# command, and the sha256 of its stdout pinned elsewhere (None: checked as json)
+WRITE_CASES = {
+    # test_large_recurrence_outputs_are_unchanged in test_counting.py
+    "count": (
+        ["count", "--n", "400"],
+        "1b1bfa5bb46708a89313dc1f918ef3631aa73404f95413ca281373671130caaa",
+    ),
+    "generate-lines": (["generate", "--n", "8"], GENERATE_SHA256[8, "lines"]),
+    "generate-json": (["generate", "--n", "8", "--format", "json"], GENERATE_SHA256[8, "json"]),
+    # its rows reach 103 KB, more than a write
+    "triangle": (
+        ["triangle", "--which", "v", "--n", "300"],
+        "86ac79a887d6350ae033831a2c7ecc3a229ea901557cac098e1737c2d990787e",
+    ),
+    # EXPORT_SHA256 in test_gentree.py
+    "tree-dot": (
+        ["tree", "--n", "8"],
+        "ac092809329187965439f95bacd8ce4786aaf071c239ac1464c000bbecfa4b5b",
+    ),
+    "tree-json": (
+        ["tree", "--n", "8", "--format", "json"],
+        "a2821e5633d709299eacd2f39f90258633a03f0670fbf0f8984988fdba1ceb08",
+    ),
+    "verify": (["verify", "--json"], None),
+}
+
+
+@pytest.mark.parametrize("case", WRITE_CASES)
+def test_every_command_writes_in_one_size(monkeypatch, case):
+    # main cuts each command's text into writes that fill a pipe buffer
+    argv, sha256 = WRITE_CASES[case]
+    writes = recorded_writes(monkeypatch, argv)
+    assert all(writes)
+    assert {len(text) for text in writes[:-1]} <= {cli.WRITE_SIZE}
     out = "".join(writes)
-    assert hashlib.sha256(out.encode()).hexdigest() == GENERATE_SHA256[8, fmt]
+    if sha256 is None:
+        assert json.loads(out)["ok"] is True
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_generate_writes_are_cut_to_one_size():
@@ -193,9 +228,7 @@ def generate_from_level_9(monkeypatch, nodes, fmt):
     """The writes of `generate --n 11` when level 9 is ``nodes``."""
     levels = []
     monkeypatch.setattr(cli.gentree, "iter_level", lambda n: levels.append(n) or iter(nodes))
-    writes = []
-    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append, flush=lambda: None))
-    assert main(["generate", "--n", "11", "--format", fmt]) == 0
+    writes = recorded_writes(monkeypatch, ["generate", "--n", "11", "--format", fmt])
     assert levels == [9]  # no walk of level 11, nor of 10
     return writes
 
@@ -214,11 +247,11 @@ def test_generate_two_digit_letters_fit_a_pipe_buffer(monkeypatch, fmt):
 
 
 def test_generate_json_opens_on_one_large_node_text(monkeypatch):
-    # a level of one node: the first write is that node's whole text
+    # a level of one node: its whole text and the closer fit one write
     writes = generate_from_level_9(monkeypatch, [LARGEST_NODE_9], "json")
     text = slow_generate(grandchildren([LARGEST_NODE_9]), "json")
-    assert writes == [text[:-2], "]\n"]
-    assert len(writes[0]) == 46_472 - 1  # its ", " became "["
+    assert writes == [text]
+    assert len(text) == 46_472 - 1 + 2  # its ", " became "[", then "]\n"
 
 
 def test_generate_builds_one_template_per_shape(capsys, monkeypatch):
