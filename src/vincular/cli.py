@@ -169,7 +169,7 @@ def _cmd_triangle(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
         rows = brute.census_rows(PATTERN, args.n, force=args.force)
     else:
         _check_cap(args.n, RECURRENCE_CAP, f"triangle {args.which}", args.force)
-        rule = gentree.lambda_rule() if args.which == "u" else gentree.omega_rule()
+        rule = gentree.LAMBDA_RULE if args.which == "u" else gentree.OMEGA_RULE
         rows = counting.triangle_rows(rule, args.n)
     return 0, counting.csv_rows(rows)
 

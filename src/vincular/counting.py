@@ -2,9 +2,9 @@
 
 Two triangles refine the counting sequence 1, 1, 2, 6, 23, 105, 549, ...
 of 1-32-4 avoiders, and both are read off the succession rule.  Row n >= 1
-of v is the label census at depth n - 1 of ``omega_rule``: v(n,k)
+of v is the label census at depth n - 1 of ``OMEGA_RULE``: v(n,k)
 avoiders of length n carry label k.  Row n >= 1 of u is the same census
-under ``lambda_rule``, so u(n,k) = v(n,k-1).  Row 0 holds the empty word
+under ``LAMBDA_RULE``, so u(n,k) = v(n,k-1).  Row 0 holds the empty word
 alone, at k = 0 in u and k = -1 in v.  One step of the rule's census is
 the counting recurrence
 
@@ -28,7 +28,7 @@ from itertools import chain, islice
 from typing import NamedTuple
 
 # ``generate_level`` is unused here; perfbench/tracing.py requires this binding.
-from .gentree import ROOT, SuccessionRule, generate_level, lambda_rule, omega_rule, walk
+from .gentree import LAMBDA_RULE, OMEGA_RULE, ROOT, SuccessionRule, generate_level, walk
 from .perms import label, parse_dashed_pattern
 
 PATTERN_3142 = parse_dashed_pattern("31-4-2")
@@ -64,7 +64,7 @@ def triangle_rows(rule: SuccessionRule, n_max: int) -> Iterator[dict[int, int]]:
     {axiom - 1: 1} for the empty word, row n >= 1 the label census at
     depth n - 1.  n_max is checked here, before any row is read.
 
-    >>> list(triangle_rows(lambda_rule(), 2))
+    >>> list(triangle_rows(LAMBDA_RULE, 2))
     [{0: 1}, {1: 1}, {1: 1, 2: 1}]
     """
     if n_max < 0:
@@ -73,22 +73,22 @@ def triangle_rows(rule: SuccessionRule, n_max: int) -> Iterator[dict[int, int]]:
 
 
 def u_triangle(n_max: int) -> Triangle:
-    """Rows 0..n_max of the triangle u, the rows of ``lambda_rule``.
+    """Rows 0..n_max of the triangle u, the rows of ``LAMBDA_RULE``.
 
     >>> u_triangle(4).row(4)
     {1: 6, 2: 10, 3: 6, 4: 1}
     """
-    return Triangle(tuple(triangle_rows(lambda_rule(), n_max)))
+    return Triangle(tuple(triangle_rows(LAMBDA_RULE, n_max)))
 
 
 def v_triangle(n_max: int) -> Triangle:
     """Label census triangle: v(n,k) avoiders of length n carry label k.
-    Rows 0..n_max are the rows of ``omega_rule``.
+    Rows 0..n_max are the rows of ``OMEGA_RULE``.
 
     >>> v_triangle(4).row(4)
     {0: 6, 1: 10, 2: 6, 3: 1}
     """
-    return Triangle(tuple(triangle_rows(omega_rule(), n_max)))
+    return Triangle(tuple(triangle_rows(OMEGA_RULE, n_max)))
 
 
 def count_avoiders(n: int) -> int:
@@ -105,7 +105,7 @@ def count_avoiders(n: int) -> int:
 def avoider_counts(n_max: int) -> list[int]:
     """Counting sequence for lengths 0..n_max: the row sums of u, summed
     as ``triangle_rows`` yields them, so only one row is held."""
-    return [sum(row.values()) for row in triangle_rows(lambda_rule(), n_max)]
+    return [sum(row.values()) for row in triangle_rows(LAMBDA_RULE, n_max)]
 
 
 def callan_3142_triangle(n_max: int) -> Triangle:
@@ -253,7 +253,7 @@ class ResidualReport(NamedTuple):
 
 def check_functional_equation(n_max: int) -> ResidualReport:
     """Verify A(z,u) = A(0,u) + z * L(A(z,u)) on the tree's label census A
-    through order n_max, with L the label transform of ``omega_rule``: u^k
+    through order n_max, with L the label transform of ``OMEGA_RULE``: u^k
     becomes the sum of u^e over the productions e of k, and the empty
     word's term becomes u^0.  n_max must be at least 1.
 
@@ -344,7 +344,7 @@ def check_pde(n_max: int) -> PdeReport:
         raise ValueError(f"need at least order 1: {n_max}")
     first_bad: dict[str, tuple[tuple[int, int], int] | None] = dict.fromkeys(PDE_CONVENTIONS)
     prev: dict[int, int] = {}
-    for n, row in enumerate(triangle_rows(omega_rule(), n_max)):
+    for n, row in enumerate(triangle_rows(OMEGA_RULE, n_max)):
         for convention in PDE_CONVENTIONS:
             if first_bad[convention] is None:
                 first_bad[convention] = _pde_row_residual(convention, n, row, prev)

@@ -144,5 +144,7 @@ def expand(word: Sequence[int]) -> list[tuple[ChildSpec, Perm]]:
     Insert(p=2) (1, 3, 2)
     """
     w = check_avoider(word)
+    if not w:
+        raise ValueError(f"nothing to expand: {w}")
     specs, getters = _plan(_shape(w))
     return list(zip(specs, _children(w, getters)))

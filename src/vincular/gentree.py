@@ -1,15 +1,15 @@
 """The succession rule and the generating tree of ``eco.expand``.
 
 The tree has the single letter 1 at its root; the children of a node are
-its expansions in canonical order.  Labels evolve by the rule
+its expansions in canonical order.  Labels evolve by ``OMEGA_RULE``
 
     (0),  (k) -> (0)(1)(1)(2)(2)(2)...(k)^{k+1}(k+1)
 
-and the same rule with axiom (1) describes the tree with every label
-moved up by one; both are instances of ``SuccessionRule``.  Level n of the
-tree (root at level 1) holds the avoiders of length n exactly once, and
-``SuccessionRule.levels`` gives the multiset of their labels one suffix
-sum per level; the triangles of ``counting`` are read from it.
+and ``LAMBDA_RULE``, the same rule with axiom (1), describes the tree with
+every label moved up by one.  Level n of the tree (root at level 1) holds
+the avoiders of length n exactly once, and ``SuccessionRule.levels`` gives
+the multiset of their labels one suffix sum per level; the triangles of
+``counting`` are read from it.
 
 ``walk(n)`` is the traversal every level reader uses: an explicit stack of
 words from the root, each node's children from one ``eco._children`` call,
@@ -47,12 +47,20 @@ def __getattr__(name: str) -> type:
 
 class SuccessionRule(NamedTuple):
     """Rule with axiom (a): label k produces each i in a..k exactly
-    i + 1 - a times, then k + 1 once."""
+    i + 1 - a times, then k + 1 once.
+
+    >>> OMEGA_RULE.productions(2)
+    (0, 1, 1, 2, 2, 2, 3)
+    """
 
     axiom: int
 
     def productions(self, k: int) -> tuple[int, ...]:
-        """Child labels of a node labelled k, in canonical order."""
+        """Child labels of a node labelled k, in canonical order.
+
+        >>> LAMBDA_RULE.productions(3)
+        (1, 2, 2, 3, 3, 3, 4)
+        """
         a = self.axiom
         if k < a:
             raise ValueError(f"label below the axiom {a}: {k}")
@@ -72,7 +80,7 @@ class SuccessionRule(NamedTuple):
 
             next[i] = prev[i-1] + (i+1-a) * sum_{j>=i} prev[j]
 
-        >>> list(islice(SuccessionRule(1).levels(), 3))
+        >>> list(islice(LAMBDA_RULE.levels(), 3))
         [{1: 1}, {1: 1, 2: 1}, {1: 2, 2: 3, 3: 1}]
         """
         row = [1]  # row[m] counts label a + m
@@ -82,28 +90,15 @@ class SuccessionRule(NamedTuple):
             row = [p + (m + 1) * s for m, (p, s) in enumerate(zip([0] + row, suffix))]
 
 
-def omega_rule() -> SuccessionRule:
-    """The tree's rule: axiom (0), (k) -> (0)(1)(1)...(k)^{k+1}(k+1).
-
-    >>> omega_rule().productions(2)
-    (0, 1, 1, 2, 2, 2, 3)
-    """
-    return SuccessionRule(0)
-
-
-def lambda_rule() -> SuccessionRule:
-    """``omega_rule`` with every label moved up by one: axiom (1).
-
-    >>> lambda_rule().productions(3)
-    (1, 2, 2, 3, 3, 3, 4)
-    """
-    return SuccessionRule(1)
+# The tree's rule, axiom (0), and the same with every label moved up by one.
+OMEGA_RULE = SuccessionRule(0)
+LAMBDA_RULE = SuccessionRule(1)
 
 
 def level_label_counts(rule: SuccessionRule, n: int) -> dict[int, int]:
     """Multiset of labels at depth n of the rule's tree, root at depth 0.
 
-    >>> level_label_counts(omega_rule(), 2)
+    >>> level_label_counts(OMEGA_RULE, 2)
     {0: 2, 1: 3, 2: 1}
     """
     if n < 0:
@@ -135,8 +130,8 @@ def iter_level(n: int) -> Iterator[Perm]:
     >>> next(words), sum(1 for _ in words)
     ((3, 2, 1), 5)
     """
-    if n < 1:
-        raise ValueError(f"level must be positive: {n}")
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"level must be a positive integer: {n}")
     if n == 1:
         return iter([ROOT])
     return chain.from_iterable(children for node, children in walk(n) if len(node) == n - 1)
@@ -166,7 +161,7 @@ class LabellingReport(NamedTuple):
 def verify_labelling(n_max: int) -> LabellingReport:
     """Check, for every tree node of length at most n_max, that the labels
     of its children in canonical order are exactly the productions of its
-    own label under ``omega_rule``.  n_max must be at least 1.
+    own label under ``OMEGA_RULE``.  n_max must be an integer, at least 1.
 
     The root needs no check of its own: it is the walk's first node, and
     label k has (k+1)(k+2)/2 + 1 productions, so only the axiom 0 matches
@@ -174,9 +169,9 @@ def verify_labelling(n_max: int) -> LabellingReport:
     validated again; ``verify --suite eco`` checks that every node avoids
     1-32-4, through the scan that ``reduce`` runs on each child.
     """
-    if n_max < 1:
-        raise ValueError(f"need at least length 1: {n_max}")
-    productions = functools.cache(omega_rule().productions)  # once per label, not per node
+    if not isinstance(n_max, int) or n_max < 1:
+        raise ValueError(f"need an integer, at least length 1: {n_max}")
+    productions = functools.cache(OMEGA_RULE.productions)  # once per label, not per node
     for checked, (node, children) in enumerate(walk(n_max + 1), 1):
         expected = productions(label(node))
         got = tuple(map(label, children))
@@ -215,8 +210,8 @@ def _json(word: Perm, n_max: int, pad: str = "\n  ", head: str = "") -> Iterator
 def export_tree(n_max: int, fmt: str = "dot", force: bool = False) -> Iterator[str]:
     """Stream the tree down to length n_max as graphviz dot or nested json, a
     node at a time; past ``TREE_CAP`` only if forced, every check at the call."""
-    if n_max < 1:
-        raise ValueError(f"need at least the root level: {n_max}")
+    if not isinstance(n_max, int) or n_max < 1:
+        raise ValueError(f"need an integer, at least the root level: {n_max}")
     if n_max > TREE_CAP and not force:
         raise ValueError(f"tree export past n={TREE_CAP} needs --force (force=True)")
     if fmt == "dot":

@@ -40,7 +40,7 @@ from vincular.counting import (
     v_triangle,
 )
 from vincular.eco import Insert, MoveAll, Partial, expand, reduce
-from vincular.gentree import lambda_rule, level_label_counts, omega_rule, verify_labelling
+from vincular.gentree import LAMBDA_RULE, OMEGA_RULE, level_label_counts, verify_labelling
 from vincular.perms import label, parse_dashed_pattern
 
 COUNTS = [1, 1, 2, 6, 23, 105, 549, 3207, 20577, 143239]
@@ -147,7 +147,7 @@ def test_06_worked_examples():
 
 def test_07_shifted_rule_histograms():
     started = time.perf_counter()
-    om, la = omega_rule(), lambda_rule()
+    om, la = OMEGA_RULE, LAMBDA_RULE
     for depth in range(13):
         shifted = {k + 1: v for k, v in level_label_counts(om, depth).items()}
         assert shifted == level_label_counts(la, depth), depth

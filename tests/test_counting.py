@@ -22,7 +22,7 @@ from vincular.counting import (
     u_triangle,
     v_triangle,
 )
-from vincular.gentree import lambda_rule, omega_rule
+from vincular.gentree import LAMBDA_RULE, OMEGA_RULE
 from vincular.perms import label
 
 COUNTS = [1, 1, 2, 6, 23, 105, 549, 3207, 20577, 143239]
@@ -65,7 +65,7 @@ def test_triangle_csv():
     csv = "".join(csv_rows(u_triangle(2).rows))
     assert csv == "n,k,value\n0,0,1\n1,1,1\n2,1,1\n2,2,1\n"
     # one string per row, so the csv takes one write per row
-    assert list(csv_rows(triangle_rows(lambda_rule(), 2)))[-1] == "2,1,1\n2,2,1\n"
+    assert list(csv_rows(triangle_rows(LAMBDA_RULE, 2)))[-1] == "2,1,1\n2,2,1\n"
 
 
 def test_callan_sequence_differs_from_ours():
@@ -172,7 +172,7 @@ def test_functional_equation_reports_a_mislabelled_word(monkeypatch, word, first
 
 
 def test_pde_reports_a_wrong_census_entry(monkeypatch):
-    rows = [dict(row) for row in triangle_rows(omega_rule(), 6)]
+    rows = [dict(row) for row in triangle_rows(OMEGA_RULE, 6)]
     rows[4][1] += 1
     monkeypatch.setattr(counting, "triangle_rows", lambda rule, n_max: iter(rows))
     report = check_pde(6)

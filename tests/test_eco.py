@@ -49,7 +49,7 @@ def test_expand_named_children_of_worked_example():
 @pytest.mark.parametrize("word", [(1, 3, 2, 4), (1, 1), (2, 3), ()])
 def test_expand_rejects_bad_input(word):
     # a non-avoider, two non-permutations and the empty word
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=None if word else "nothing to expand"):
         expand(word)
 
 

@@ -13,14 +13,14 @@ from vincular import brute, cli, eco, gentree
 from vincular.counting import avoider_counts
 from vincular.eco import expand, reduce
 from vincular.gentree import (
+    LAMBDA_RULE,
+    OMEGA_RULE,
     ROOT,
     _dot_name,
     export_tree,
     generate_level,
     iter_level,
-    lambda_rule,
     level_label_counts,
-    omega_rule,
     verify_labelling,
     walk,
 )
@@ -40,7 +40,7 @@ LEVEL_4 = [
 
 
 def test_omega_productions():
-    rule = omega_rule()
+    rule = OMEGA_RULE
     assert rule.axiom == 0
     assert rule.productions(0) == (0, 1)
     assert rule.productions(1) == (0, 1, 1, 2)
@@ -51,7 +51,7 @@ def test_omega_productions():
 
 
 def test_lambda_productions():
-    rule = lambda_rule()
+    rule = LAMBDA_RULE
     assert rule.axiom == 1
     assert rule.productions(1) == (1, 2)
     assert rule.productions(2) == (1, 2, 2, 3)
@@ -60,7 +60,7 @@ def test_lambda_productions():
 
 
 def test_lambda_is_omega_shifted():
-    om, la = omega_rule(), lambda_rule()
+    om, la = OMEGA_RULE, LAMBDA_RULE
     for k in range(8):
         assert tuple(e + 1 for e in om.productions(k)) == la.productions(k + 1)
     for depth in range(13):
@@ -80,7 +80,7 @@ def _census_by_productions(rule, depth):
     return counts
 
 
-@pytest.mark.parametrize("rule", [omega_rule(), lambda_rule()], ids=["omega", "lambda"])
+@pytest.mark.parametrize("rule", [OMEGA_RULE, LAMBDA_RULE], ids=["omega", "lambda"])
 def test_census_step_equals_expanding_the_productions(rule):
     for depth, row in enumerate(islice(rule.levels(), 13)):
         reference = sorted(_census_by_productions(rule, depth).items())
@@ -93,7 +93,7 @@ def test_census_step_equals_expanding_the_productions(rule):
 def test_level_label_counts_total_is_avoider_count():
     counts = avoider_counts(9)
     for depth in range(9):
-        assert sum(level_label_counts(omega_rule(), depth).values()) == counts[depth + 1]
+        assert sum(level_label_counts(OMEGA_RULE, depth).values()) == counts[depth + 1]
 
 
 def test_generate_level_canonical_order():
@@ -123,6 +123,14 @@ def test_iter_level_checks_n_at_the_call(n):
     # a lazy check would let `generate --n 0` open its output before failing
     with pytest.raises(ValueError, match="positive"):
         iter_level(n)
+
+
+@pytest.mark.parametrize("reader", [iter_level, generate_level, export_tree, verify_labelling])
+@pytest.mark.parametrize("n", [1.5, 2.5])
+def test_tree_readers_reject_a_non_integer_length(reader, n):
+    # walk(2.5) would act as walk(3): an empty level, or the root and its children
+    with pytest.raises(ValueError, match="integer"):
+        reader(n)
 
 
 def test_generate_level_is_validating_expand_level_by_level():
@@ -260,7 +268,7 @@ def test_label_census_matches_rule(brute_levels):
         census: dict[int, int] = {}
         for w in brute_levels[n]:
             census[label(w)] = census.get(label(w), 0) + 1
-        assert census == level_label_counts(omega_rule(), n - 1)
+        assert census == level_label_counts(OMEGA_RULE, n - 1)
 
 
 def test_verify_labelling():

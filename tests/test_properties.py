@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from vincular.blocks import PATTERN, decompose
 from vincular.eco import expand, reduce
-from vincular.gentree import ROOT, omega_rule
+from vincular.gentree import OMEGA_RULE, ROOT
 from vincular.perms import DashedPattern, avoids, label, parse_dashed_pattern
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -23,7 +23,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 def test_random_walk_follows_rule_and_reduces_back(choices):
     # each choice picks one child of the current node, from the root down
     # to length 40; every node on the way is checked
-    rule = omega_rule()
+    rule = OMEGA_RULE
     parent = ROOT
     for choice in choices:
         children = [child for _, child in expand(parent)]
