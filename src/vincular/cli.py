@@ -28,14 +28,11 @@ from .blocks import PATTERN
 from .eco import _children, _shape, expand, reduce
 from .perms import Perm, parse_dashed_pattern
 
-# `generate` streams the walk and holds no level.  One CPU of a 2-vCPU AMD
-# EPYC, Python 3.11 (`count --n 0` 0.045 s): n = 10 about 0.3 s in 19 MB,
-# n = 11 about 2.1 s (205 MB of lines, 317 MB of json) in 27 MB; each level ~7x.
+# `generate` streams the walk and holds no level.  One CPU of an AMD EPYC, Python 3.11:
+# n = 10 about 0.23 s in 18 MB, n = 11 (205 MB of lines) 1.4 s in 24 MB; each level ~7x.
 GENERATE_CAP = 11
-# Levels that one template per shape spans below `generate`'s walk.  At
-# n = 11 the largest node text, of (1, 9, 8, 7, 6, 5, 4, 3, 2), is 46,472
-# bytes of json and the 256 templates take about 7 MB; 3 levels would
-# multiply both by about 8.
+# Levels one template per shape spans below `generate`'s walk: at n = 11 the 256 take
+# about 4.5 MB, 3 levels 8 times that.  Templates code letters as bytes: n <= 255 even forced.
 GENERATE_DEPTH = 2
 # Each write is a system call with PYTHONUNBUFFERED, and a pipe holds 64 KiB:
 # `main` cuts every command's text into writes of exactly that size.  Writes
@@ -112,19 +109,30 @@ def _cmd_count(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     return 0, (f"{value}\n" for value in values)
 
 
-def _template(node: Perm, depth: int, start: str, sep: str, end: str) -> tuple[str, itemgetter]:
-    """The text of a node's descendants ``depth`` levels down, in tree order:
-    a %-format string over the texts of the node's letters, and the getter
-    that lists them.  Both hold for every node of the node's shape."""
+def _template(node: Perm, depth: int, start: str, sep: str, end: str) -> tuple[str, dict, itemgetter]:
+    """The text, in tree order, of the descendants ``depth`` levels down of any
+    node of this one's shape: a %-format string with a slot for each segment
+    (the letters before the 1, then each run of the last block), the segments'
+    slices, and the getter of their texts.  No move in ``eco._moves`` cuts a
+    segment, and this raises if one does: each keeps every segment's index
+    range contiguous and the letters before the 1 in front of the new 1, and
+    an increasing contiguous run lies inside one run of the child."""
     words = [node]
     for _ in range(depth):
         words = [child for word in words for child in _children(word)]
-    # letters up to depth are new minima; each other one is a node letter moved up
-    where = {v + depth: pos for pos, v in enumerate(node)}
-    text = "".join(
-        start + sep.join(str(v) if v <= depth else "%s" for v in word) + end for word in words
-    )
-    return text, itemgetter(*[where[v] for word in words for v in word if v > depth])
+    # the words as bytes, 0 between two; a whole segment becomes its first letter
+    off = _shape(node)
+    cuts = {node[a] + depth: slice(a, b) for a, b in zip((0, *off), (off[0] - 1, *off[1:])) if a < b}
+    coded = b"\0".join(map(bytes, words))
+    for head, cut in cuts.items():
+        coded = coded.replace(bytes([v + depth for v in node[cut]]), bytes([head]))
+    low = bytes(range(depth + 2))  # 0, then the new minima and the 1, written as digits
+    heads = coded.translate(None, low)
+    if heads.translate(None, bytes(cuts)):  # a cut segment keeps its other letters
+        raise AssertionError(f"a descendant of {node} cuts one of its segments")
+    table = bytes.maketrans(low + bytes(cuts), b"|123456789"[: depth + 2] + b"%" * len(cuts))
+    text = start + sep.join(coded.translate(table).decode()).replace(f"{sep}|{sep}", end + start) + end
+    return text.replace("%", "%s"), cuts, itemgetter(*heads) if heads else tuple  # tuple({}) is ()
 
 
 def _writes(texts: Iterable[str]) -> Iterator[str]:
@@ -147,15 +155,15 @@ def _cmd_generate(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     nodes = gentree.iter_level(n - depth)
     start, sep, end = ("", " ", "\n") if lines else (", [", ", ", "]")
     texts = [str(v + depth) for v in range(n + 1)]  # a node letter's text, moved up
-    templates: dict[tuple[int, ...], tuple[str, itemgetter]] = {}
+    templates: dict[tuple[int, ...], tuple[str, dict, itemgetter]] = {}
 
     def node_texts() -> Iterator[str]:
         for node in nodes:
             shape = _shape(node)
             if shape not in templates:
                 templates[shape] = _template(node, depth, start, sep, end)
-            template, get = templates[shape]
-            yield template % get([texts[v] for v in node])
+            template, cuts, get = templates[shape]
+            yield template % get({h: sep.join([texts[v] for v in node[c]]) for h, c in cuts.items()})
 
     pieces = node_texts()
     if not lines:  # json.dumps(level) and a newline: the first item drops its ", "
@@ -285,6 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.force and hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.7 and later
+        sys.set_int_max_str_digits(0)  # counts past 4,300 digits; --n was parsed under the limit
     try:
         code, texts = args.func(args)
         # one WRITE_SIZE cut of the text per write; with PYTHONUNBUFFERED, a system call

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import vincular
-from vincular import brute, cli, counting, eco, gentree
+from vincular import blocks, brute, cli, counting, eco, gentree
 from vincular.cli import main
 
 
@@ -283,6 +284,53 @@ def test_generate_builds_one_template_per_shape(capsys, monkeypatch):
     assert max(seen) == 6
 
 
+def test_generate_fills_one_slot_per_segment(capsys, monkeypatch):
+    # a template holds one slot for each nonempty segment of its node (the
+    # letters before the 1, then each run of the last block) in each
+    # descendant: at n = 9, 505,083 slots over the level, against 1,002,673
+    # for one slot per letter
+    built = {}
+    template = cli._template
+
+    def recorded_template(node, *rest):
+        result = template(node, *rest)
+        built[eco._shape(node)] = node, result[0]
+        return result
+
+    monkeypatch.setattr(cli, "_template", recorded_template)
+    assert run(capsys, "generate", "--n", "9")[0] == 0
+    weights = Counter(eco._shape(node) for node in gentree.iter_level(7))
+    assert len(built) == len(weights) == 64
+    slots = letters = 0
+    for shape, (node, text) in built.items():
+        one = node.index(1)
+        segments = (one > 0) + len(blocks.runs(node[one + 1 :]))
+        descendants = text.count("\n")
+        assert descendants == len(grandchildren([node]))
+        assert text.count("%s") == descendants * segments
+        slots += weights[shape] * descendants * segments
+        letters += weights[shape] * descendants * len(node)
+    assert (slots, letters) == (505_083, 1_002_673)
+
+
+@pytest.fixture(scope="module")
+def one_node_per_shape_9():
+    nodes = {}
+    for node in gentree.iter_level(9):
+        nodes.setdefault(eco._shape(node), node)
+    return list(nodes.values())
+
+
+@pytest.mark.parametrize("fmt", ["lines", "json"])
+def test_generate_every_template_of_n11(monkeypatch, one_node_per_shape_9, fmt):
+    # one node of each of the 256 shapes of length 9: every template that
+    # `generate --n 11` fills, each against the slow reference
+    nodes = one_node_per_shape_9
+    assert len(nodes) == 256
+    writes = generate_from_level_9(monkeypatch, nodes, fmt)
+    assert "".join(writes) == slow_generate(grandchildren(nodes), fmt)
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 def test_closed_pipe_ends_quietly(unbuffered):
     # `generate --n 9 | head -1`: the reader leaves long before the 6.7 MB
@@ -531,6 +579,23 @@ def test_force_lifts_the_counting_caps(capsys, monkeypatch):
     monkeypatch.setattr(cli, "RECURRENCE_CAP", 3)
     assert run(capsys, "count", "--n", "5")[0] == 2
     assert run(capsys, "count", "--n", "5", "--force") == (0, unforced, "")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit before Python 3.10.7"
+)
+def test_force_lifts_the_digit_limit(capsys):
+    # count(400) has 683 digits: under a limit of 640 digits, --force still
+    # prints every count
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "count", "--n", "400", "--force")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [str(value) for value in counting.avoider_counts(400)]
+    assert len(out.splitlines()[-1]) == 683
 
 
 def test_generate_cap(capsys):
