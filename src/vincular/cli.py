@@ -20,7 +20,6 @@ import re
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain
-from operator import itemgetter
 
 from . import brute, counting, gentree
 from .blocks import PATTERN
@@ -29,10 +28,11 @@ from .eco import _children, _shape, expand, reduce
 from .perms import Perm, parse_dashed_pattern
 
 # `generate` streams the walk and holds no level.  One CPU of an AMD EPYC, Python 3.11:
-# n = 10 about 0.23 s in 18 MB, n = 11 (205 MB of lines) 1.4 s in 24 MB; each level ~7x.
+# n = 10 about 0.25 s in 17.4 MB, n = 11 (205 MB of lines) 1.4 s in 21.7 MB; each level ~7x.
 GENERATE_CAP = 11
 # Levels one template per shape spans below `generate`'s walk: at n = 11 the 256 take
-# about 4.5 MB, 3 levels 8 times that.  Templates code letters as bytes: n <= 255 even forced.
+# 1.8 MB (lines), 3 levels 8 times that; 3 and 4 levels were slower at n = 9 and 10.
+# Templates are built from the words as bytes: n <= 255 even forced.
 GENERATE_DEPTH = 2
 # Each write is a system call with PYTHONUNBUFFERED, and a pipe holds 64 KiB:
 # `main` cuts every command's text into writes of exactly that size.  Writes
@@ -109,30 +109,21 @@ def _cmd_count(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     return 0, (f"{value}\n" for value in values)
 
 
-def _template(node: Perm, depth: int, start: str, sep: str, end: str) -> tuple[str, dict, itemgetter]:
+def _template(node: Perm, depth: int, start: str, sep: str, end: str, codes: list[str]) -> str:
     """The text, in tree order, of the descendants ``depth`` levels down of any
-    node of this one's shape: a %-format string with a slot for each segment
-    (the letters before the 1, then each run of the last block), the segments'
-    slices, and the getter of their texts.  No move in ``eco._moves`` cuts a
-    segment, and this raises if one does: each keeps every segment's index
-    range contiguous and the letters before the 1 in front of the new 1, and
-    an increasing contiguous run lies inside one run of the child."""
+    node of this one's shape, with the new minima as their digits and each
+    letter of the node, moved up by ``depth``, as the code of its position:
+    ``codes[i]`` for the letter at ``node[i]``.  Each move in ``eco._moves``
+    places the node's letters by their positions alone, so the text of any
+    node of the shape is this one with its own letters filled in."""
     words = [node]
     for _ in range(depth):
         words = [child for word in words for child in _children(word)]
-    # the words as bytes, 0 between two; a whole segment becomes its first letter
-    off = _shape(node)
-    cuts = {node[a] + depth: slice(a, b) for a, b in zip((0, *off), (off[0] - 1, *off[1:])) if a < b}
-    coded = b"\0".join(map(bytes, words))
-    for head, cut in cuts.items():
-        coded = coded.replace(bytes([v + depth for v in node[cut]]), bytes([head]))
-    low = bytes(range(depth + 2))  # 0, then the new minima and the 1, written as digits
-    heads = coded.translate(None, low)
-    if heads.translate(None, bytes(cuts)):  # a cut segment keeps its other letters
-        raise AssertionError(f"a descendant of {node} cuts one of its segments")
-    table = bytes.maketrans(low + bytes(cuts), b"|123456789"[: depth + 2] + b"%" * len(cuts))
-    text = start + sep.join(coded.translate(table).decode()).replace(f"{sep}|{sep}", end + start) + end
-    return text.replace("%", "%s"), cuts, itemgetter(*heads) if heads else tuple  # tuple({}) is ()
+    # the words as chars below U+0100, U+0000 between two, U+0100 between two letters
+    text = "\u0100".join(b"\0".join(map(bytes, words)).decode("latin-1"))
+    table = {0: end + start, 0x100: sep, **{v: str(v) for v in range(1, depth + 1)}}
+    table.update({v + depth: code for v, code in zip(node, codes)})
+    return start + text.replace("\u0100\0\u0100", "\0").translate(table) + end
 
 
 def _writes(texts: Iterable[str]) -> Iterator[str]:
@@ -154,16 +145,21 @@ def _cmd_generate(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     depth = min(max(n - 1, 0), GENERATE_DEPTH)  # 0 for n < 1, which iter_level rejects
     nodes = gentree.iter_level(n - depth)
     start, sep, end = ("", " ", "\n") if lines else (", [", ", ", "]")
-    texts = [str(v + depth) for v in range(n + 1)]  # a node letter's text, moved up
-    templates: dict[tuple[int, ...], tuple[str, dict, itemgetter]] = {}
+    # a position's code is `width` chars, none a digit or a separator, ASCII first
+    width = len(str(n))
+    chars = [c for c in range(128 + n * width) if chr(c) not in "0123456789 ,[]\n"]
+    codes = ["".join(map(chr, chars[i : i + width])) for i in range(0, n * width, width)]
+    # a node letter's text, moved up and left-padded with None, which translate deletes
+    texts = [(None,) * (width - len(t)) + tuple(t) for t in map(str, range(depth, n + depth + 1))]
+    templates: dict[tuple[int, ...], str] = {}
 
     def node_texts() -> Iterator[str]:
         for node in nodes:
             shape = _shape(node)
             if shape not in templates:
-                templates[shape] = _template(node, depth, start, sep, end)
-            template, cuts, get = templates[shape]
-            yield template % get({h: sep.join([texts[v] for v in node[c]]) for h, c in cuts.items()})
+                templates[shape] = _template(node, depth, start, sep, end, codes)
+            letters = chain.from_iterable(map(texts.__getitem__, node))
+            yield templates[shape].translate(dict(zip(chars, letters)))
 
     pieces = node_texts()
     if not lines:  # json.dumps(level) and a newline: the first item drops its ", "
@@ -293,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.force and hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.7 and later
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()  # Python 3.10.7 and later
+    if args.force and limit is not None:
         sys.set_int_max_str_digits(0)  # counts past 4,300 digits; --n was parsed under the limit
     try:
         code, texts = args.func(args)
@@ -308,6 +305,9 @@ def main(argv: list[str] | None = None) -> int:
         # the reader is gone: drop what is left, and exit as SIGPIPE would
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    finally:  # after the writes, where the texts turn counts into digits
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     return code
 
 

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from collections import Counter
 from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import vincular
-from vincular import blocks, brute, cli, counting, eco, gentree
+from vincular import brute, cli, counting, eco, gentree
 from vincular.cli import main
 
 
@@ -284,33 +283,43 @@ def test_generate_builds_one_template_per_shape(capsys, monkeypatch):
     assert max(seen) == 6
 
 
-def test_generate_fills_one_slot_per_segment(capsys, monkeypatch):
-    # a template holds one slot for each nonempty segment of its node (the
-    # letters before the 1, then each run of the last block) in each
-    # descendant: at n = 9, 505,083 slots over the level, against 1,002,673
-    # for one slot per letter
+def test_generate_codes_every_letter_by_position(capsys, monkeypatch):
+    # a template writes each letter of its node, in each descendant, as the
+    # one code char of its position, and leaves no format slot: 64 templates
+    # at n = 9, one per shape of length 7
     built = {}
     template = cli._template
 
     def recorded_template(node, *rest):
-        result = template(node, *rest)
-        built[eco._shape(node)] = node, result[0]
-        return result
+        text = template(node, *rest)
+        built[eco._shape(node)] = node, text
+        return text
 
     monkeypatch.setattr(cli, "_template", recorded_template)
     assert run(capsys, "generate", "--n", "9")[0] == 0
-    weights = Counter(eco._shape(node) for node in gentree.iter_level(7))
-    assert len(built) == len(weights) == 64
-    slots = letters = 0
-    for shape, (node, text) in built.items():
-        one = node.index(1)
-        segments = (one > 0) + len(blocks.runs(node[one + 1 :]))
+    assert len(built) == 64
+    for node, text in built.values():
         descendants = text.count("\n")
         assert descendants == len(grandchildren([node]))
-        assert text.count("%s") == descendants * segments
-        slots += weights[shape] * descendants * segments
-        letters += weights[shape] * descendants * len(node)
-    assert (slots, letters) == (505_083, 1_002_673)
+        codes = [c for c in text if c not in "0123456789 \n"]
+        assert len(codes) == descendants * len(node)
+        assert "%" not in text
+
+
+@pytest.mark.parametrize("fmt", ["lines", "json"])
+@pytest.mark.parametrize("n", [62, 100])
+def test_generate_wide_and_non_ascii_codes(monkeypatch, n, fmt):
+    # one decreasing node of length n - 2, label 0, and its 6 grandchildren:
+    # letters of two and of three digits, coded by two and three chars a
+    # position, 120 and 294 codes, past the 113 ASCII ones
+    node = tuple(range(n - 2, 0, -1))
+    levels = []
+    monkeypatch.setattr(cli.gentree, "iter_level", lambda length: levels.append(length) or iter([node]))
+    writes = recorded_writes(monkeypatch, ["generate", "--n", str(n), "--format", fmt, "--force"])
+    assert levels == [n - 2]
+    words = grandchildren([node])
+    assert len(words) == 6
+    assert "".join(writes) == slow_generate(words, fmt)
 
 
 @pytest.fixture(scope="module")
@@ -596,6 +605,21 @@ def test_force_lifts_the_digit_limit(capsys):
     assert (code, err) == (0, "")
     assert out.splitlines() == [str(value) for value in counting.avoider_counts(400)]
     assert len(out.splitlines()[-1]) == 683
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit before Python 3.10.7"
+)
+@pytest.mark.parametrize("n, code", [("1", 0), ("-1", 2)], ids=["ok", "error"])
+def test_force_restores_the_digit_limit(capsys, n, code):
+    # the limit is lifted for the command only, whether it succeeds or fails
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert run(capsys, "count", "--n", n, "--force")[0] == code
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_generate_cap(capsys):
