@@ -1,28 +1,27 @@
 """Brute-force oracle: grow avoiders by appending a letter, with a generic
 occurrence test.
 
-A node is an avoider of length m, a permutation of 1..m.  A child appends
-a last letter of rank v in 1..m + 1 and moves the letters >= v up by one
-(the tree of all permutations with active sites on the right; West,
-Discrete Math. 1995).  That keeps the order and adjacency of the letters,
-so every prefix of an avoider is an avoider, each avoider of length m is
-reached once, at depth m, and a child is dropped as soon as its new letter
-ends an occurrence (``perms.occurs_ending_at``).  ``_walk`` goes depth
-first and so meets each length in breadth-first order; only
-``brute_avoiders`` sorts its one length.  Everything here ignores the
-block structure of the class, so its output can arbitrate the fast paths;
-``_filter_avoiders``, which filters the whole symmetric group with
-``avoids``, is the slow reference the tests pin the search to.
+A node is an avoider of length m, a permutation of 1..m.  A child appends a
+last letter of rank v in 1..m + 1 and moves the letters >= v up by one (the
+tree of all permutations with active sites on the right; West, Discrete
+Math. 1995).  That keeps the order and adjacency of the letters, so every
+prefix of an avoider is an avoider, each avoider of length m is reached
+once, at depth m, and a child is dropped as soon as its new letter ends an
+occurrence.  ``_walk`` goes depth first and so meets each length in
+breadth-first order; only ``brute_avoiders`` sorts its one length.
+Everything here ignores the block structure of the class, so its output can
+arbitrate the fast paths; the tests pin it to ``_filter_avoiders``, which
+filters the whole symmetric group with ``avoids``.
 
-When the pattern's last letter is its largest value (1-32-4, 1-23-4), the
-ranks whose letter ends an occurrence form an up-set, so ``_walk`` tests
-them from m + 1 down and stops at the first that ends none.  That is
-exact.  Say rank v ends an occurrence and v' > v.  The occurrence matches
-its other letters in the word, whose order and positions the new letter
-does not change, and the new letter is above all of them at rank v, so
-still above all of them at rank v'; the same positions are an occurrence
-ending at rank v'.  So the first rank from the top that ends none, and
-every rank below it, ends none.  Other patterns test every rank.
+One search per word, ``perms.ranks_ending``, finds every rank whose letter
+ends an occurrence: they form a union of intervals, one per match of the
+pattern's other letters in the word, whose order and positions the new
+letter does not change.  A match ends an occurrence exactly when the new
+letter falls between its letters lo and hi just below and just above the
+last pattern letter (0 and m + 1 for none), and the letter of rank v sits
+between v - 1 and v: at the ranks lo + 1..hi.  When the last pattern letter
+is the largest (1-32-4, 1-23-4), hi is always m + 1 and the union is an
+up-set; for 31-4-2 it may have gaps.
 
 ``avoider_levels``, ``level_sizes`` and ``census_rows`` are each one fold
 over the walk, and only ``avoider_levels`` holds a level.  ``oracle_diff``
@@ -40,12 +39,11 @@ from itertools import permutations
 from .blocks import PATTERN
 # Unused here; perfbench/tracing.py needs ``generate_level`` and the pool hook.
 from .gentree import __getattr__, generate_level
-from .perms import DashedPattern, Perm, avoids, label, occurs_ending_at
+from .perms import DashedPattern, Perm, avoids, label, ranks_ending
 
-# The walk holds no level: at n = 10, `count --method brute` takes 1.2 s
-# (31-4-2, which tests every rank, 3.7-4.5 s) and `triangle --which census`
-# 3.0-3.2 s, all 15 MB, on one CPU of a 2-vCPU Xeon, Python 3.11
-# (`count --n 0` 0.07 s and 14.6 MB there).
+# The walk holds no level: at n = 10, `count --method brute` takes 1.5-1.8 s for
+# 1-32-4, 1-23-4 and 31-4-2, `triangle --which census` 2.8 s, all in 15 MB (one
+# CPU of a 2-vCPU Xeon, Python 3.11, where `count --n 0` takes 0.07 s, 14.8 MB).
 ENUMERATION_CAP = 10
 
 # Unused here; perfbench/tracing.py requires this entry.
@@ -63,29 +61,21 @@ def _grown(word: Perm, ranks: list[int]) -> list[Perm]:
 
 
 def _walk(pattern: DashedPattern, n_max: int) -> Iterator[tuple[Perm, list[int]]]:
-    # Every avoider shorter than n_max, depth first, with the increasing ranks
-    # of the last letters that end no occurrence (the cut: module docstring).
-    cut = pattern.underlying[-1] == len(pattern.underlying)
+    # Every avoider shorter than n_max, depth first, with the ranks that extend it.
     stack: list[Perm] = [()] if n_max > 0 else []
     while stack:
         word = stack.pop()
         m = len(word)
-        # the new last letter, of rank v, sits between v - 1 and v
-        probe = [*word, 0.0]
-        ranks: list[int] = []
-        for v in range(m + 1, 0, -1):
-            probe[m] = v - 0.5
-            if not occurs_ending_at(pattern, probe, m):
-                if cut:
-                    ranks = list(range(1, v + 1))
-                    break
-                ranks.insert(0, v)
+        ended = ranks_ending(pattern, word)
+        ranks = [v for v in range(1, m + 2) if not ended >> v & 1]
         if m < n_max - 1:
             stack += reversed(_grown(word, ranks))
         yield word, ranks
 
 
 def _check_length(n_max: int, force: bool) -> None:
+    if not isinstance(n_max, int) or isinstance(n_max, bool):
+        raise ValueError(f"length must be an integer: {n_max!r}")
     if n_max < 0:
         raise ValueError(f"length must be nonnegative: {n_max}")
     if n_max > ENUMERATION_CAP and not force:

@@ -14,7 +14,6 @@ lifted with ``--force``.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -119,11 +118,13 @@ def _template(node: Perm, depth: int, start: str, sep: str, end: str, codes: lis
     words = [node]
     for _ in range(depth):
         words = [child for word in words for child in _children(word)]
-    # the words as chars below U+0100, U+0000 between two, U+0100 between two letters
-    text = "\u0100".join(b"\0".join(map(bytes, words)).decode("latin-1"))
-    table = {0: end + start, 0x100: sep, **{v: str(v) for v in range(1, depth + 1)}}
-    table.update({v + depth: code for v, code in zip(node, codes)})
-    return start + text.replace("\u0100\0\u0100", "\0").translate(table) + end
+    # the words as chars, U+0000 between two, and between two letters a gap char above
+    # every letter: ASCII through n = 126, as translate's one-char-for-one path needs
+    gap = chr(len(node) + depth + 1)
+    text = gap.join(b"\0".join(map(bytes, words)).decode("latin-1")).replace(gap + "\0" + gap, "\0")
+    table = {0: "\n", ord(gap): " ", **{v: str(v) for v in range(1, depth + 1)}}
+    table.update({v + depth: code for v, code in zip(node, codes)})  # no code is " " or "\n"
+    return start + text.translate(table).replace(" ", sep).replace("\n", end + start) + end
 
 
 def _writes(texts: Iterable[str]) -> Iterator[str]:
@@ -234,6 +235,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
         results[suite] = {"ok": ok, "detail": detail}
     all_ok = all(bool(r["ok"]) for r in results.values())
     if args.json:
+        import json  # here alone: it costs every other command's start about 1 ms
         text = json.dumps({"n": args.n, "ok": all_ok, "suites": results}, indent=2) + "\n"
     else:
         text = "".join(

@@ -2,8 +2,8 @@
 
 A permutation of length n is a tuple containing each of 1..n exactly once.
 The empty tuple is the empty permutation.  Functions that only compare
-entries (occurrence search, reduction, maxima scans) accept any sequence of
-distinct integers and are documented as such.
+entries (``occurrences``, ``avoids``, reduction, maxima scans) accept any
+sequence of distinct integers and are documented as such.
 
 A dashed pattern is a permutation together with adjacency constraints: two
 neighbouring letters written without a dash between them must occupy
@@ -58,20 +58,20 @@ class DashedPattern(_Dashes):
         return super().__new__(cls, underlying, adjacency)
 
     @functools.cached_property
-    def _suffix_plan(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        # For each pattern index j < k-1: the indices among j+1..k-1 whose
-        # values are just below and just above pattern[j], -1 when there is
-        # none.  See ``occurs_ending_at``.
+    def _suffix_plan(self) -> tuple[tuple[int, ...], ...]:
+        # For each index j < k-1: the indices among j+1..k-2 just below and above
+        # pattern[j] in value, then among j..k-2 just below and above the last
+        # letter; k-1 stands for none below, k for none above.
         pat = self.underlying
-        lows: list[int] = []
-        highs: list[int] = []
-        for j, value in enumerate(pat[:-1]):
-            later = range(j + 1, len(pat))
-            below = [i for i in later if pat[i] < value]
-            above = [i for i in later if pat[i] > value]
-            lows.append(max(below, key=pat.__getitem__) if below else -1)
-            highs.append(min(above, key=pat.__getitem__) if above else -1)
-        return tuple(lows), tuple(highs)
+        top = len(pat) - 1
+
+        def near(value: int, indices: range) -> tuple[int, int]:
+            below = max(((pat[i], i) for i in indices if pat[i] < value), default=(0, top))
+            above = min(((pat[i], i) for i in indices if pat[i] > value), default=(0, top + 1))
+            return below[1], above[1]
+
+        plan = [near(pat[j], range(j + 1, top)) + near(pat[top], range(j, top)) for j in range(top)]
+        return tuple(zip(*plan)) or ((),) * 4
 
     def __str__(self) -> str:
         # adjacent letters are juxtaposed, or comma separated once a value has two digits
@@ -145,52 +145,52 @@ def _search(pattern: DashedPattern, word: Sequence[int], chosen: list[int]) -> I
             chosen.pop()
 
 
-def occurs_ending_at(pattern: DashedPattern, word: Sequence[int], end: int) -> bool:
-    """True when ``word`` has an occurrence of ``pattern`` whose last letter
-    is at position ``end`` (0-based); letters after ``end`` are ignored.
+def ranks_ending(pattern: DashedPattern, word: Sequence[int]) -> int:
+    """A bitmask with bit v set for each rank v in 1..m + 1 whose letter,
+    appended to the permutation ``word`` of 1..m (not checked) with its
+    letters >= v moved up by one, ends an occurrence of ``pattern``.
 
-    Letters are matched from the last pattern letter backwards.  A letter
-    written without a dash before the one matched after it has exactly one
-    candidate position; the others may sit anywhere further left.  Because
-    the letters matched so far are already in the pattern's relative order,
-    each candidate is compared only with the two of them whose pattern
-    values are just below and just above its own.  ``word`` must have
-    distinct entries, which is not checked; an ``end`` outside it raises ValueError.
+    One search, from the last pattern letter backwards: a letter with no
+    dash before the next has one candidate position, the others any further
+    left.  Matched letters are in the pattern's order, so a candidate is
+    compared only with those just below and above it in the pattern, never
+    with the new letter, whose rank stays an interval (lo, hi] between the
+    matched letters just below and above the last pattern letter (0 and
+    m + 1 for none).  A complete match adds its interval to the mask, a
+    partial one inside the mask is dropped, and a full mask ends the search.
 
-    >>> p = parse_dashed_pattern("1-32-4")
-    >>> occurs_ending_at(p, (1, 3, 2, 4), 3)
-    True
-    >>> occurs_ending_at(p, (1, 3, 2, 4, 5), 3), occurs_ending_at(p, (1, 3, 5, 2, 4), 4)
-    (True, False)
+    >>> bin(ranks_ending(parse_dashed_pattern("1-32-4"), (1, 3, 2, 4)))  # v = 4, 5
+    '0b110000'
+    >>> bin(ranks_ending(parse_dashed_pattern("31-4-2"), (2, 1, 4, 3, 5)))  # v = 2, 4
+    '0b10100'
     """
-    if not 0 <= end < len(word):
-        raise ValueError(f"end {end} is not a position of a word of length {len(word)}")
+    lows, highs, below, above = pattern._suffix_plan
     adjacency = pattern.adjacency
-    lows, highs = pattern._suffix_plan
-    top = len(lows)  # index of the last pattern letter
-    if end < top:
-        return False
+    top, m = len(lows), len(word)  # top: the last pattern letter's index
+    every = (2 << (m + 1)) - 2
     if top == 0:
-        return True
-    # pos[i] is the position matched to pattern index i for i > j; the
-    # candidates p for index j are tried right to left, and an exhausted
-    # index backs up to the nearest later index that has a dash after it.
-    pos = [0] * (top + 1)
-    pos[top] = end
-    j = top - 1
-    p = end - 1
+        return every
+    # pos[i], val[i]: the position and letter matched to index i > j; val[top] = 0 and
+    # val[top + 1] = m + 1 stand for none below and above.  Candidates p for index j run
+    # right to left; an exhausted index backs up to the nearest later one with a dash after.
+    pos = [0] * top
+    val = [0] * top + [0, m + 1]
+    mask, j, p = 0, top - 1, m - 1
     while True:
         if p >= j:
-            v = word[p]
-            lo = lows[j]
-            hi = highs[j]
-            if (lo < 0 or word[pos[lo]] < v) and (hi < 0 or v < word[pos[hi]]):
-                if j == 0:
-                    return True
+            x = word[p]
+            if val[lows[j]] < x < val[highs[j]]:
                 pos[j] = p
-                j -= 1
-                p -= 1
-                continue
+                val[j] = x
+                span = (2 << val[above[j]]) - (2 << val[below[j]])  # ranks lo + 1..hi
+                if mask & span != span:
+                    if j > 0:
+                        j -= 1
+                        p -= 1
+                        continue
+                    mask |= span
+                    if mask == every:
+                        return mask
             if not adjacency[j]:
                 p -= 1
                 continue
@@ -198,7 +198,7 @@ def occurs_ending_at(pattern: DashedPattern, word: Sequence[int], end: int) -> b
         while j < top and adjacency[j]:
             j += 1
         if j == top:
-            return False
+            return mask
         p = pos[j] - 1
 
 

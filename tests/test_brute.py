@@ -69,31 +69,42 @@ def test_level_sizes_guards():
 
 
 @pytest.mark.parametrize(
-    "text, calls",
+    "text, words",
     [
-        # the last letter is the largest: ranks are tested from the top down
-        # and stop at the first that ends no occurrence (30,277 without the cut)
-        ("1-32-4", 9701),
-        ("1-23-4", 9701),
-        # the last letter 2 is neither largest nor smallest: every rank is tested
-        ("31-4-2", 28345),
+        # one search per word shorter than 8: the avoiders of lengths 0..7
+        ("1-32-4", 3894),
+        ("1-23-4", 3894),
+        ("31-4-2", 3650),
     ],
 )
-def test_rank_cut_only_where_it_applies(monkeypatch, text, calls):
+def test_one_search_per_word(monkeypatch, text, words):
     count = 0
-    search = brute.occurs_ending_at
+    search = brute.ranks_ending
 
     def counted(*args):
         nonlocal count
         count += 1
         return search(*args)
 
-    monkeypatch.setattr(brute, "occurs_ending_at", counted)
-    avoider_levels(parse_dashed_pattern(text), 8)
-    assert count == calls
+    monkeypatch.setattr(brute, "ranks_ending", counted)
+    pattern = parse_dashed_pattern(text)
+    assert sum(map(len, avoider_levels(pattern, 8)[:8])) == words
+    assert count == words
     count = 0
-    level_sizes(parse_dashed_pattern(text), 8)
-    assert count == calls
+    level_sizes(pattern, 8)
+    assert count == words
+
+
+@pytest.mark.parametrize("n", [2.5, True])
+@pytest.mark.parametrize(
+    "reader",
+    [level_sizes, avoider_levels, brute_avoiders, census_rows, brute_census],
+    ids=lambda reader: reader.__name__,
+)
+def test_oracle_rejects_a_non_integer_length(reader, n):
+    # neither a float nor a bool is a length, though both compare with ints
+    with pytest.raises(ValueError, match="integer"):
+        reader(PATTERN, n)
 
 
 @pytest.mark.parametrize("text", ["1-32-4", "1-23-4", "31-4-2", "1-3-2", "132"])

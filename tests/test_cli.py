@@ -307,11 +307,12 @@ def test_generate_codes_every_letter_by_position(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("fmt", ["lines", "json"])
-@pytest.mark.parametrize("n", [62, 100])
+@pytest.mark.parametrize("n", [62, 100, 126, 127, 128, 254, 255])
 def test_generate_wide_and_non_ascii_codes(monkeypatch, n, fmt):
     # one decreasing node of length n - 2, label 0, and its 6 grandchildren:
     # letters of two and of three digits, coded by two and three chars a
-    # position, 120 and 294 codes, past the 113 ASCII ones
+    # position, 120 to 765 codes, past the 113 ASCII ones; the template's
+    # gap char, n + 1, leaves ASCII at n = 127 and latin-1 at n = 255
     node = tuple(range(n - 2, 0, -1))
     levels = []
     monkeypatch.setattr(cli.gentree, "iter_level", lambda length: levels.append(length) or iter([node]))
@@ -795,8 +796,8 @@ def test_verify_single_suite_json(capsys):
 def test_startup_imports_no_rational_arithmetic():
     # every command imports the whole package; the continued fraction is
     # evaluated in integers, so fractions and decimal stay unloaded, no
-    # command starts a process pool, and the records are NamedTuples, not
-    # dataclasses (which load inspect)
+    # command starts a process pool, the records are NamedTuples, not
+    # dataclasses (which load inspect), and json waits for `verify --json`
     src = Path(vincular.__file__).resolve().parents[1]
     unwanted = (
         "fractions",
@@ -806,6 +807,7 @@ def test_startup_imports_no_rational_arithmetic():
         "multiprocessing",
         "dataclasses",
         "inspect",
+        "json",
     )
     code = f"import vincular.cli, sys; print(sorted(m for m in {unwanted!r} if m in sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(src)}

@@ -9,8 +9,8 @@ from vincular.perms import (
     avoids,
     label,
     occurrences,
-    occurs_ending_at,
     parse_dashed_pattern,
+    ranks_ending,
     rtl_maxima,
     standard_reduction,
 )
@@ -139,30 +139,21 @@ def test_label_counts_rtl_maxima_right_of_one_long_words(w):
 
 @st.composite
 def dashed_patterns(draw):
-    k = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 5))
     underlying = draw(st.permutations(range(1, k + 1)))
     adjacency = draw(st.lists(st.booleans(), min_size=k - 1, max_size=k - 1))
     return DashedPattern(tuple(underlying), tuple(adjacency))
 
 
 @settings(max_examples=300, database=None, deadline=None)
-@given(dashed_patterns(), st.lists(st.integers(-20, 20), unique=True, max_size=10))
-def test_occurs_ending_at_matches_search(pattern, word):
-    ends = {occ[-1] for occ in occurrences(pattern, word)}
-    for end in range(len(word)):
-        assert occurs_ending_at(pattern, word, end) == (end in ends)
-        # letters after the end do not matter
-        assert occurs_ending_at(pattern, word[: end + 1], end) == (end in ends)
-    prefixes_clean = not any(
-        occurs_ending_at(pattern, word[:i], i - 1) for i in range(1, len(word) + 1)
-    )
-    assert avoids(pattern, word) == prefixes_clean
-
-
-@pytest.mark.parametrize(
-    "text, word, end",
-    [("1", (), 0), ("1-32-4", (1, 3, 2), 3), ("1-32-4", (1, 3, 2, 4), -1), ("1", (1,), -1)],
-)
-def test_occurs_ending_at_rejects_an_end_outside_the_word(text, word, end):
-    with pytest.raises(ValueError):
-        occurs_ending_at(parse_dashed_pattern(text), word, end)
+@given(dashed_patterns(), st.integers(0, 9).flatmap(lambda m: st.permutations(range(1, m + 1))))
+def test_ranks_ending_matches_search(pattern, word):
+    # bit v is set exactly when the word grown by a last letter of rank v
+    # has an occurrence ending at that letter; no bit outside 1..m + 1
+    m = len(word)
+    ended = ranks_ending(pattern, word)
+    for v in range(1, m + 2):
+        child = tuple(x + (x >= v) for x in word) + (v,)
+        ends = {occ[-1] for occ in occurrences(pattern, child)}
+        assert bool(ended >> v & 1) == (m in ends), v
+    assert ended & ~((2 << (m + 1)) - 2) == 0
