@@ -23,8 +23,14 @@ between v - 1 and v: at the ranks lo + 1..hi.  When the last pattern letter
 is the largest (1-32-4, 1-23-4), hi is always m + 1 and the union is an
 up-set; for 31-4-2 it may have gaps.
 
-``avoider_levels``, ``level_sizes`` and ``census_rows`` are each one fold
-over the walk, and only ``avoider_levels`` holds a level.  ``oracle_diff``
+``_walk`` yields each word with the bitmask of the ranks that extend it and
+the children it built for its stack, none at length n_max - 1.  The child of
+rank v differs from that of rank v - 1 only in its last letter and in the
+letter v - 1, which stays instead of moving up to v, so ``_grown`` builds
+them by increasing rank from one list, with two stores each.  The folds
+``avoider_levels`` and ``census_rows`` read those children and build only
+the last length's, so each avoider is built once; ``level_sizes`` adds up
+the bits.  Only ``avoider_levels`` holds a level.  ``oracle_diff``
 holds the tree's count of each length against ``level_sizes`` for
 ``verify --suite eco``.  Enumeration is capped at length 10 unless
 ``force`` is passed.
@@ -41,9 +47,9 @@ from .blocks import PATTERN
 from .gentree import __getattr__, generate_level
 from .perms import DashedPattern, Perm, avoids, label, ranks_ending
 
-# The walk holds no level: at n = 10, `count --method brute` takes 1.5-1.8 s for
-# 1-32-4, 1-23-4 and 31-4-2, `triangle --which census` 2.8 s, all in 15 MB (one
-# CPU of a 2-vCPU Xeon, Python 3.11, where `count --n 0` takes 0.07 s, 14.8 MB).
+# The walk holds no level: at n = 10, `count --method brute` takes 0.9-1.3 s for
+# 1-32-4, 1-23-4 and 31-4-2, `triangle --which census` 2.0 s, all in 15 MB (one
+# CPU of a 2-vCPU Xeon, Python 3.11, where `count --n 0` takes 0.06-0.08 s, 14.7 MB).
 ENUMERATION_CAP = 10
 
 # Unused here; perfbench/tracing.py requires this entry.
@@ -55,22 +61,29 @@ def _filter_avoiders(pattern: DashedPattern, n: int) -> list[Perm]:
     return [w for w in permutations(range(1, n + 1)) if avoids(pattern, w)]
 
 
-def _grown(word: Perm, ranks: list[int]) -> list[Perm]:
-    # The word's children, by increasing rank of the new last letter.
-    return [tuple([x + (x >= v) for x in word]) + (v,) for v in ranks]
+def _grown(word: Perm, free: int) -> list[Perm]:
+    # The children of the ranks in free: the list holds rank v's, then keeps the letter v.
+    m = len(word)
+    child = [x + 1 for x in word] + [0]
+    children = []
+    for v, p in enumerate(sorted(range(m), key=word.__getitem__) + [m], 1):
+        child[m] = v
+        if free >> v & 1:
+            children.append(tuple(child))
+        child[p] = v
+    return children
 
 
-def _walk(pattern: DashedPattern, n_max: int) -> Iterator[tuple[Perm, list[int]]]:
-    # Every avoider shorter than n_max, depth first, with the ranks that extend it.
+def _walk(pattern: DashedPattern, n_max: int) -> Iterator[tuple[Perm, int, list[Perm] | None]]:
+    # Every avoider shorter than n_max, depth first, with its free ranks and children.
     stack: list[Perm] = [()] if n_max > 0 else []
     while stack:
         word = stack.pop()
         m = len(word)
-        ended = ranks_ending(pattern, word)
-        ranks = [v for v in range(1, m + 2) if not ended >> v & 1]
-        if m < n_max - 1:
-            stack += reversed(_grown(word, ranks))
-        yield word, ranks
+        free = ~ranks_ending(pattern, word) & ((2 << (m + 1)) - 2)
+        children = _grown(word, free) if m < n_max - 1 else None
+        stack += reversed(children or ())
+        yield word, free, children
 
 
 def _check_length(n_max: int, force: bool) -> None:
@@ -91,22 +104,22 @@ def avoider_levels(pattern: DashedPattern, n_max: int, *, force: bool = False) -
     """
     _check_length(n_max, force)
     levels: list[list[Perm]] = [[()]] + [[] for _ in range(n_max)]
-    for word, ranks in _walk(pattern, n_max):
-        levels[len(word) + 1] += _grown(word, ranks)
+    for word, free, children in _walk(pattern, n_max):
+        levels[len(word) + 1] += _grown(word, free) if children is None else children
     return levels
 
 
 def level_sizes(pattern: DashedPattern, n_max: int, *, force: bool = False) -> list[int]:
     """The number of avoiders of ``pattern`` of every length 0..n_max: each
-    word's ranks in one walk, summed; no word of length n_max is built.
+    word's free ranks in one walk, counted; no word of length n_max is built.
 
     >>> level_sizes(PATTERN, 5)
     [1, 1, 2, 6, 23, 105]
     """
     _check_length(n_max, force)
     sizes = [1] + [0] * n_max
-    for word, ranks in _walk(pattern, n_max):
-        sizes[len(word) + 1] += len(ranks)
+    for word, free, _ in _walk(pattern, n_max):
+        sizes[len(word) + 1] += free.bit_count()
     return sizes
 
 
@@ -135,8 +148,8 @@ def census_rows(pattern: DashedPattern, n_max: int, *, force: bool = False) -> I
     """
     _check_length(n_max, force)
     rows: list[Counter[int]] = [Counter() for _ in range(n_max + 1)]
-    for word, ranks in _walk(pattern, n_max):
-        rows[len(word) + 1].update(map(label, _grown(word, ranks)))
+    for word, free, children in _walk(pattern, n_max):
+        rows[len(word) + 1].update(map(label, _grown(word, free) if children is None else children))
     return (dict(sorted(row.items())) for row in rows)
 
 
@@ -146,6 +159,7 @@ def brute_census(pattern: DashedPattern, n: int, *, force: bool = False) -> dict
     >>> brute_census(PATTERN, 4)
     {0: 6, 1: 10, 2: 6, 3: 1}
     """
+    _check_length(n, force)
     if n < 1:
         raise ValueError(f"census needs length at least 1: {n}")
     return list(census_rows(pattern, n, force=force))[n]

@@ -2,6 +2,8 @@ import tracemalloc
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vincular import brute
 
@@ -95,16 +97,71 @@ def test_one_search_per_word(monkeypatch, text, words):
     assert count == words
 
 
-@pytest.mark.parametrize("n", [2.5, True])
+@pytest.mark.parametrize("n", [2.5, True, "3", None])
 @pytest.mark.parametrize(
     "reader",
     [level_sizes, avoider_levels, brute_avoiders, census_rows, brute_census],
     ids=lambda reader: reader.__name__,
 )
 def test_oracle_rejects_a_non_integer_length(reader, n):
-    # neither a float nor a bool is a length, though both compare with ints
+    # neither a float nor a bool is a length, though both compare with ints;
+    # a str or None is rejected before it is compared
     with pytest.raises(ValueError, match="integer"):
         reader(PATTERN, n)
+
+
+def _grown_by_definition(word, free):
+    # each child in full: the letters >= v move up by one, then v is appended
+    ranks = [v for v in range(1, len(word) + 2) if free >> v & 1]
+    return [tuple(x + (x >= v) for x in word) + (v,) for v in ranks]
+
+
+def test_grown_equals_its_definition_small_words():
+    # every permutation of length <= 5 with every mask of ranks 1..m + 1
+    for m in range(6):
+        for word in permutations(range(1, m + 1)):
+            for free in range(0, 2 << (m + 1), 2):
+                assert brute._grown(word, free) == _grown_by_definition(word, free), (word, bin(free))
+
+
+@st.composite
+def words_and_masks(draw):
+    m = draw(st.integers(6, 14))
+    word = tuple(draw(st.permutations(range(1, m + 1))))
+    return word, draw(st.integers(0, (1 << (m + 1)) - 1)) << 1
+
+
+@settings(max_examples=200, database=None, deadline=None)
+@given(words_and_masks())
+def test_grown_equals_its_definition_longer_words(word_and_mask):
+    word, free = word_and_mask
+    assert brute._grown(word, free) == _grown_by_definition(word, free)
+
+
+@pytest.mark.parametrize(
+    "fold, words",
+    [
+        # each avoider of length 1..8 once: 1 + 2 + 6 + 23 + 105 + 549 + 3,207 + 20,577
+        (avoider_levels, 24470),
+        (census_rows, 24470),
+        # only the stack's children, lengths 1..7
+        (level_sizes, 3893),
+    ],
+    ids=lambda x: getattr(x, "__name__", x),
+)
+def test_each_word_is_built_once(monkeypatch, fold, words):
+    built = 0
+    grown = brute._grown
+
+    def counted(*args):
+        nonlocal built
+        children = grown(*args)
+        built += len(children)
+        return children
+
+    monkeypatch.setattr(brute, "_grown", counted)
+    list(fold(PATTERN, 8))
+    assert built == words
 
 
 @pytest.mark.parametrize("text", ["1-32-4", "1-23-4", "31-4-2", "1-3-2", "132"])
