@@ -32,8 +32,8 @@ them by increasing rank from one list, with two stores each.  The folds
 the last length's, so each avoider is built once; ``level_sizes`` adds up
 the bits.  Only ``avoider_levels`` holds a level.  ``oracle_diff``
 holds the tree's count of each length against ``level_sizes`` for
-``verify --suite eco``.  Enumeration is capped at length 10 unless
-``force`` is passed.
+``verify --suite eco``.  ``_check_length`` checks a length with
+``perms.check_length`` and caps it at 10 unless ``force`` is passed.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from itertools import permutations
 from .blocks import PATTERN
 # Unused here; perfbench/tracing.py needs ``generate_level`` and the pool hook.
 from .gentree import __getattr__, generate_level
-from .perms import DashedPattern, Perm, avoids, label, ranks_ending
+from .perms import DashedPattern, Perm, avoids, check_length, label, ranks_ending
 
 # The walk holds no level: at n = 10, `count --method brute` takes 0.9-1.3 s for
 # 1-32-4, 1-23-4 and 31-4-2, `triangle --which census` 2.0 s, all in 15 MB (one
@@ -87,10 +87,7 @@ def _walk(pattern: DashedPattern, n_max: int) -> Iterator[tuple[Perm, int, list[
 
 
 def _check_length(n_max: int, force: bool) -> None:
-    if not isinstance(n_max, int) or isinstance(n_max, bool):
-        raise ValueError(f"length must be an integer: {n_max!r}")
-    if n_max < 0:
-        raise ValueError(f"length must be nonnegative: {n_max}")
+    check_length(n_max)
     if n_max > ENUMERATION_CAP and not force:
         raise ValueError(f"enumerating length {n_max} needs force=True (cap {ENUMERATION_CAP})")
 
@@ -159,9 +156,7 @@ def brute_census(pattern: DashedPattern, n: int, *, force: bool = False) -> dict
     >>> brute_census(PATTERN, 4)
     {0: 6, 1: 10, 2: 6, 3: 1}
     """
-    _check_length(n, force)
-    if n < 1:
-        raise ValueError(f"census needs length at least 1: {n}")
+    check_length(n, 1)
     return list(census_rows(pattern, n, force=force))[n]
 
 

@@ -24,7 +24,7 @@ from . import brute, counting, gentree
 from .blocks import PATTERN
 # ``expand`` is unused here; perfbench/tracing.py requires this binding.
 from .eco import _children, _shape, expand, reduce
-from .perms import Perm, parse_dashed_pattern
+from .perms import Perm, check_length, parse_dashed_pattern
 
 # `generate` streams the walk and holds no level.  One CPU of an AMD EPYC, Python 3.11:
 # n = 10 about 0.25 s in 17.4 MB, n = 11 (205 MB of lines) 1.4 s in 21.7 MB; each level ~7x.
@@ -76,8 +76,6 @@ def _positive_int(text: str) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
-    if args.n < 0:
-        raise ValueError(f"length must be nonnegative: {args.n}")
     pattern = parse_dashed_pattern(args.pattern)
     if args.method in ("tree", "cfrac") and pattern != PATTERN:
         raise ValueError(f"--method {args.method} is specific to {PATTERN}")
@@ -195,8 +193,7 @@ def _verify_eco(n_max: int, force: bool) -> tuple[bool, str]:
     distinct.  So level n is a subset of the avoiders of length n, and a
     subset of equal size is the whole set.
     """
-    if n_max < 1:
-        raise ValueError(f"need at least length 1: {n_max}")
+    check_length(n_max, 1)
     sizes = [1, 1] + [0] * (n_max - 1)  # the empty word, the root, then the children
     for node, children in gentree.walk(n_max):
         if len(set(children)) < len(children):

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 # ``generate_level`` is unused here; perfbench/tracing.py requires this binding.
 from .gentree import LAMBDA_RULE, OMEGA_RULE, ROOT, SuccessionRule, generate_level, walk
-from .perms import label, parse_dashed_pattern
+from .perms import check_length, label, parse_dashed_pattern
 
 PATTERN_3142 = parse_dashed_pattern("31-4-2")
 
@@ -67,8 +67,7 @@ def triangle_rows(rule: SuccessionRule, n_max: int) -> Iterator[dict[int, int]]:
     >>> list(triangle_rows(LAMBDA_RULE, 2))
     [{0: 1}, {1: 1}, {1: 1, 2: 1}]
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative: {n_max}")
+    check_length(n_max)
     return chain([{rule.axiom - 1: 1}], islice(rule.levels(), n_max))
 
 
@@ -97,8 +96,6 @@ def count_avoiders(n: int) -> int:
     >>> [count_avoiders(n) for n in range(8)]
     [1, 1, 2, 6, 23, 105, 549, 3207]
     """
-    if n < 0:
-        raise ValueError(f"length must be nonnegative: {n}")
     return avoider_counts(n)[n]
 
 
@@ -122,8 +119,7 @@ def callan_3142_triangle(n_max: int) -> Triangle:
     >>> callan_3142_triangle(4).row(4)
     {1: 6, 2: 6, 3: 5, 4: 6}
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative: {n_max}")
+    check_length(n_max)
     rows: list[dict[int, int]] = [{}]
     sums = [1]
     # suffix[m][j] = sum of a(m, j') over j' >= j, for 1 <= j <= m + 1
@@ -171,8 +167,7 @@ def continued_fraction_series(n_max: int) -> tuple[int, ...]:
     >>> continued_fraction_series(6)
     (1, 0, 2, 2, 5, 15, 48)
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative: {n_max}")
+    check_length(n_max)
     level = [1] + [0] * n_max
     for m in range(n_max + 1, -1, -1):
         inv = [1] + [0] * n_max
@@ -231,8 +226,7 @@ def label_series(n_max: int) -> Triangle:
     >>> label_series(3).rows
     ({-1: 1}, {0: 1}, {0: 1, 1: 1}, {0: 2, 1: 3, 2: 1})
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative: {n_max}")
+    check_length(n_max)
     rows = [Counter([label(ROOT)])] + [Counter() for _ in range(n_max - 1)]
     for node, children in walk(n_max):
         rows[len(node)].update(map(label, children))
@@ -266,8 +260,7 @@ def check_functional_equation(n_max: int) -> ResidualReport:
     first nonzero (n, k) of census minus v is thus the residual's first
     nonzero term.
     """
-    if n_max < 1:
-        raise ValueError(f"need at least order 1: {n_max}")
+    check_length(n_max, 1, "order")
     census, v = label_series(n_max), v_triangle(n_max)
     for n in range(1, n_max + 1):
         a, b = census.rows[n], v.rows[n]
@@ -340,8 +333,7 @@ def check_pde(n_max: int) -> PdeReport:
     vanish through z^n_max is reported; with the label census one of them
     does, namely t^(label+1) and no empty term.  n_max must be at least 1.
     """
-    if n_max < 1:
-        raise ValueError(f"need at least order 1: {n_max}")
+    check_length(n_max, 1, "order")
     first_bad: dict[str, tuple[tuple[int, int], int] | None] = dict.fromkeys(PDE_CONVENTIONS)
     prev: dict[int, int] = {}
     for n, row in enumerate(triangle_rows(OMEGA_RULE, n_max)):

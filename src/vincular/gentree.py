@@ -25,7 +25,7 @@ from itertools import accumulate, chain, islice
 from typing import Iterator, NamedTuple
 
 from .eco import _children, expand
-from .perms import Perm, label
+from .perms import Perm, check_length, label
 
 ROOT: Perm = (1,)
 
@@ -62,8 +62,7 @@ class SuccessionRule(NamedTuple):
         (1, 2, 2, 3, 3, 3, 4)
         """
         a = self.axiom
-        if k < a:
-            raise ValueError(f"label below the axiom {a}: {k}")
+        check_length(k, a, "label")
         out: list[int] = []
         for i in range(a, k + 1):
             out += [i] * (i + 1 - a)
@@ -101,18 +100,19 @@ def level_label_counts(rule: SuccessionRule, n: int) -> dict[int, int]:
     >>> level_label_counts(OMEGA_RULE, 2)
     {0: 2, 1: 3, 2: 1}
     """
-    if n < 0:
-        raise ValueError(f"depth must be nonnegative: {n}")
+    check_length(n, what="depth")
     return next(islice(rule.levels(), n, None))
 
 
 def walk(n: int) -> Iterator[tuple[Perm, list[Perm]]]:
     """Every tree node of length 1..n-1 with its children, in depth-first
     tree order, one ``_children`` call each; no child of length n is pushed.
+    n is checked at the first ``next``.
 
     >>> [(node, len(children)) for node, children in walk(3)]
     [((1,), 2), ((2, 1), 2), ((1, 2), 4)]
     """
+    check_length(n)
     stack = [ROOT] if n > 1 else []
     while stack:
         node = stack.pop()
@@ -130,8 +130,7 @@ def iter_level(n: int) -> Iterator[Perm]:
     >>> next(words), sum(1 for _ in words)
     ((3, 2, 1), 5)
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"level must be a positive integer: {n}")
+    check_length(n, 1)
     if n == 1:
         return iter([ROOT])
     return chain.from_iterable(children for node, children in walk(n) if len(node) == n - 1)
@@ -169,8 +168,7 @@ def verify_labelling(n_max: int) -> LabellingReport:
     validated again; ``verify --suite eco`` checks that every node avoids
     1-32-4, through the scan that ``reduce`` runs on each child.
     """
-    if not isinstance(n_max, int) or n_max < 1:
-        raise ValueError(f"need an integer, at least length 1: {n_max}")
+    check_length(n_max, 1)
     productions = functools.cache(OMEGA_RULE.productions)  # once per label, not per node
     for checked, (node, children) in enumerate(walk(n_max + 1), 1):
         expected = productions(label(node))
@@ -210,8 +208,7 @@ def _json(word: Perm, n_max: int, pad: str = "\n  ", head: str = "") -> Iterator
 def export_tree(n_max: int, fmt: str = "dot", force: bool = False) -> Iterator[str]:
     """Stream the tree down to length n_max as graphviz dot or nested json, a
     node at a time; past ``TREE_CAP`` only if forced, every check at the call."""
-    if not isinstance(n_max, int) or n_max < 1:
-        raise ValueError(f"need an integer, at least the root level: {n_max}")
+    check_length(n_max, 1)
     if n_max > TREE_CAP and not force:
         raise ValueError(f"tree export past n={TREE_CAP} needs --force (force=True)")
     if fmt == "dot":

@@ -1,4 +1,5 @@
-"""Permutations as tuples, dashed patterns, and occurrence search.
+"""Permutations as tuples, dashed patterns, and occurrence search, with
+the library's one length check, ``check_length``.
 
 A permutation of length n is a tuple containing each of 1..n exactly once.
 The empty tuple is the empty permutation.  Functions that only compare
@@ -32,6 +33,14 @@ def check_permutation(word: Sequence[int]) -> Perm:
     if sorted(w) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {w}")
     return w
+
+
+def check_length(n: int, least: int = 0, what: str = "length") -> None:
+    """Raise ValueError unless ``n`` is an int, not a bool, and at least
+    ``least``: the library's one check of a length, depth, order or label."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < least:
+        bound = {0: "nonnegative", 1: "positive"}.get(least, f"at least {least}")
+        raise ValueError(f"{what} must be an integer, {bound}: {n!r}")
 
 
 class _Dashes(NamedTuple):

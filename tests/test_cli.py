@@ -773,7 +773,7 @@ def test_verify_labelling_needs_length_one(capsys, n):
         code, out, err = run(capsys, "verify", "--suite", suite, "--n", n)
         assert code == 2
         assert out == ""
-        assert "at least length 1" in err
+        assert f"length must be an integer, positive: {n}" in err
 
 
 @pytest.mark.parametrize("suite", ["series", "pde"])
@@ -781,7 +781,7 @@ def test_verify_series_suites_need_order_one(capsys, suite):
     code, out, err = run(capsys, "verify", "--suite", suite, "--n", "0")
     assert code == 2
     assert out == ""
-    assert "at least order 1" in err
+    assert "order must be an integer, positive: 0" in err
 
 
 def test_verify_single_suite_json(capsys):

@@ -212,14 +212,6 @@ def test_check_pde_holds_no_triangle():
     assert peak < 128 * 1024, peak
 
 
-@pytest.mark.parametrize("n_max", [0, -1])
-def test_series_checks_need_order_one(n_max):
-    with pytest.raises(ValueError):
-        check_functional_equation(n_max)
-    with pytest.raises(ValueError):
-        check_pde(n_max)
-
-
 # sha256 of the stdout of the large recurrence and continued fraction
 # commands, the values that perfbench/references.json holds for them
 LARGE_OUTPUTS = {

@@ -1,9 +1,12 @@
+from functools import partial
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vincular import brute, cli, counting, gentree, perms
+from vincular.blocks import PATTERN
 from vincular.perms import (
     DashedPattern,
     avoids,
@@ -157,3 +160,75 @@ def test_ranks_ending_matches_search(pattern, word):
         ends = {occ[-1] for occ in occurrences(pattern, child)}
         assert bool(ended >> v & 1) == (m in ends), v
     assert ended & ~((2 << (m + 1)) - 2) == 0
+
+
+# Every public function that takes a length, as a call on the length alone, with
+# the least length it takes.  ``walk`` is a generator: its check runs at the first next.
+LENGTH_TAKERS = {
+    "walk": (lambda n: next(gentree.walk(n)), 0),
+    "level_label_counts": (partial(gentree.level_label_counts, gentree.OMEGA_RULE), 0),
+    "OMEGA_RULE.productions": (gentree.OMEGA_RULE.productions, 0),
+    "LAMBDA_RULE.productions": (gentree.LAMBDA_RULE.productions, 1),
+    "SuccessionRule(2).productions": (gentree.SuccessionRule(2).productions, 2),
+    "iter_level": (gentree.iter_level, 1),
+    "generate_level": (gentree.generate_level, 1),
+    "verify_labelling": (gentree.verify_labelling, 1),
+    "export_tree": (gentree.export_tree, 1),
+    "triangle_rows": (partial(counting.triangle_rows, gentree.LAMBDA_RULE), 0),
+    "u_triangle": (counting.u_triangle, 0),
+    "v_triangle": (counting.v_triangle, 0),
+    "count_avoiders": (counting.count_avoiders, 0),
+    "avoider_counts": (counting.avoider_counts, 0),
+    "callan_3142_triangle": (counting.callan_3142_triangle, 0),
+    "callan_3142": (counting.callan_3142, 0),
+    "continued_fraction_series": (counting.continued_fraction_series, 0),
+    "compare_cfrac_with_counts": (counting.compare_cfrac_with_counts, 0),
+    "label_series": (counting.label_series, 0),
+    "check_functional_equation": (counting.check_functional_equation, 1),
+    "check_pde": (counting.check_pde, 1),
+    "level_sizes": (partial(brute.level_sizes, PATTERN), 0),
+    "avoider_levels": (partial(brute.avoider_levels, PATTERN), 0),
+    "brute_avoiders": (partial(brute.brute_avoiders, PATTERN), 0),
+    "census_rows": (partial(brute.census_rows, PATTERN), 0),
+    "brute_census": (partial(brute.brute_census, PATTERN), 1),
+    "cli._verify_eco": (partial(cli._verify_eco, force=False), 1),
+}
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [
+        (name, n)
+        for name, (_, least) in LENGTH_TAKERS.items()
+        for n in (1.5, 2.5, True, "3", None, *range(-1, least))
+    ],
+)
+def test_every_length_is_checked(name, n):
+    # a float or a bool compares with ints, and a str or None does not: all are
+    # rejected with the same ValueError, as is a length below the least one
+    call, _ = LENGTH_TAKERS[name]
+    with pytest.raises(ValueError, match="must be an integer, "):
+        call(n)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        counting.u_triangle,
+        counting.label_series,
+        counting.check_pde,
+        partial(brute.census_rows, PATTERN),
+        lambda n: cli.main(["count", "--method", "tree", "--n", str(n)]),
+    ],
+)
+def test_length_is_checked_once_per_call(monkeypatch, call, capsys):
+    # per call, never per row, node or word: the same count at two sizes
+    calls = []
+    for module in (brute, cli, counting, gentree):
+        monkeypatch.setattr(module, "check_length", lambda *args: calls.append(args) or perms.check_length(*args))
+    counts = []
+    for n in (3, 6):
+        calls.clear()
+        call(n)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
