@@ -32,8 +32,8 @@ them by increasing rank from one list, with two stores each.  The folds
 the last length's, so each avoider is built once; ``level_sizes`` adds up
 the bits.  Only ``avoider_levels`` holds a level.  ``oracle_diff``
 holds the tree's count of each length against ``level_sizes`` for
-``verify --suite eco``.  ``_check_length`` checks a length with
-``perms.check_length`` and caps it at 10 unless ``force`` is passed.
+``verify --suite eco``.  ``_check_length`` runs ``perms.check_length``,
+then ``perms.check_cap`` on ``ENUMERATION_CAP``, which ``force`` lifts.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from itertools import permutations
 from .blocks import PATTERN
 # Unused here; perfbench/tracing.py needs ``generate_level`` and the pool hook.
 from .gentree import __getattr__, generate_level
-from .perms import DashedPattern, Perm, avoids, check_length, label, ranks_ending
+from .perms import DashedPattern, Perm, avoids, check_cap, check_length, label, ranks_ending
 
 # The walk holds no level: at n = 10, `count --method brute` takes 0.9-1.3 s for
 # 1-32-4, 1-23-4 and 31-4-2, `triangle --which census` 2.0 s, all in 15 MB (one
@@ -88,8 +88,7 @@ def _walk(pattern: DashedPattern, n_max: int) -> Iterator[tuple[Perm, int, list[
 
 def _check_length(n_max: int, force: bool) -> None:
     check_length(n_max)
-    if n_max > ENUMERATION_CAP and not force:
-        raise ValueError(f"enumerating length {n_max} needs force=True (cap {ENUMERATION_CAP})")
+    check_cap(n_max, ENUMERATION_CAP, "enumerating", force)
 
 
 def avoider_levels(pattern: DashedPattern, n_max: int, *, force: bool = False) -> list[list[Perm]]:

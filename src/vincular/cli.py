@@ -24,7 +24,7 @@ from . import brute, counting, gentree
 from .blocks import PATTERN
 # ``expand`` is unused here; perfbench/tracing.py requires this binding.
 from .eco import _children, _shape, expand, reduce
-from .perms import Perm, check_length, parse_dashed_pattern
+from .perms import Perm, check_cap, check_length, parse_dashed_pattern
 
 # `generate` streams the walk and holds no level.  One CPU of an AMD EPYC, Python 3.11:
 # n = 10 about 0.25 s in 17.4 MB, n = 11 (205 MB of lines) 1.4 s in 21.7 MB; each level ~7x.
@@ -56,11 +56,6 @@ PDE_CAP = 400
 SUITES = ("eco", "labelling", "series", "pde")
 
 
-def _check_cap(n: int, cap: int, what: str, force: bool) -> None:
-    if n > cap and not force:
-        raise ValueError(f"{what} past n={cap} needs --force")
-
-
 def _integer(text: str) -> int:
     # ASCII digits only: int() also takes other scripts' digits, "1_0" and " 2 "
     if not re.fullmatch("-?[0-9]+", text):
@@ -81,24 +76,23 @@ def _cmd_count(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
         raise ValueError(f"--method {args.method} is specific to {PATTERN}")
     if args.method == "recurrence":
         if pattern == PATTERN:
-            _check_cap(args.n, RECURRENCE_CAP, "recurrence counting", args.force)
+            check_cap(args.n, RECURRENCE_CAP, "recurrence counting", args.force)
             values = counting.avoider_counts(args.n)
         elif pattern == counting.PATTERN_3142:
-            _check_cap(args.n, CALLAN_CAP, "the 31-4-2 recursion", args.force)
+            check_cap(args.n, CALLAN_CAP, "the 31-4-2 recursion", args.force)
             values = counting.callan_3142(args.n)
         else:
             raise ValueError(f"no recurrence known for {pattern}; use --method brute")
     elif args.method == "tree":
-        _check_cap(args.n, GENERATE_CAP, "tree counting", args.force)
+        check_cap(args.n, GENERATE_CAP, "tree counting", args.force)
         # the empty word and the root; every longer word is a child in the walk
         values = [1, 1][: args.n + 1] + [0] * (args.n - 1)
         for node, children in gentree.walk(args.n):
             values[len(node) + 1] += len(children)
     elif args.method == "brute":
-        _check_cap(args.n, brute.ENUMERATION_CAP, "brute counting", args.force)
         values = brute.level_sizes(pattern, args.n, force=args.force)
     else:
-        _check_cap(args.n, CFRAC_CAP, "the continued fraction", args.force)
+        check_cap(args.n, CFRAC_CAP, "the continued fraction", args.force)
         comparison = counting.compare_cfrac_with_counts(args.n)
         if comparison.first_mismatch is not None:
             print(f"warning: {comparison}", file=sys.stderr)
@@ -127,19 +121,24 @@ def _template(node: Perm, depth: int, start: str, sep: str, end: str, codes: lis
 
 def _writes(texts: Iterable[str]) -> Iterator[str]:
     """The texts, joined and cut into writes of ``WRITE_SIZE`` characters;
-    the last write is shorter, and none is empty."""
-    rest = ""
+    the last write is shorter, and none is empty.  Each write is joined once
+    from its pieces: a string grown by ``+=`` to a write's size left the peak
+    RSS of `generate` up to 0.4 MB higher on some heap layouts."""
+    pieces, size = [], 0
     for text in texts:
-        rest += text
-        while len(rest) >= WRITE_SIZE:
-            yield rest[:WRITE_SIZE]
-            rest = rest[WRITE_SIZE:]
-    if rest:
-        yield rest
+        pieces.append(text)
+        size += len(text)
+        while size >= WRITE_SIZE:
+            size -= WRITE_SIZE
+            pieces[-1], text = text[: len(text) - size], text[len(text) - size :]
+            yield "".join(pieces)
+            pieces = [text]
+    if size:
+        yield "".join(pieces)
 
 
 def _cmd_generate(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
-    _check_cap(args.n, GENERATE_CAP, "generating", args.force)
+    check_cap(args.n, GENERATE_CAP, "generating", args.force)
     n, lines = args.n, args.format == "lines"
     depth = min(max(n - 1, 0), GENERATE_DEPTH)  # 0 for n < 1, which iter_level rejects
     nodes = gentree.iter_level(n - depth)
@@ -168,10 +167,10 @@ def _cmd_generate(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 
 def _cmd_triangle(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     if args.which == "census":
-        _check_cap(args.n, CENSUS_CAP, "brute census", args.force)
+        check_cap(args.n, CENSUS_CAP, "brute census", args.force)
         rows = brute.census_rows(PATTERN, args.n, force=args.force)
     else:
-        _check_cap(args.n, RECURRENCE_CAP, f"triangle {args.which}", args.force)
+        check_cap(args.n, RECURRENCE_CAP, f"triangle {args.which}", args.force)
         rule = gentree.LAMBDA_RULE if args.which == "u" else gentree.OMEGA_RULE
         rows = counting.triangle_rows(rule, args.n)
     return 0, counting.csv_rows(rows)
@@ -215,7 +214,7 @@ def _verify_eco(n_max: int, force: bool) -> tuple[bool, str]:
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     wanted = SUITES if args.suite == "all" else (args.suite,)
-    _check_cap(args.n, PDE_CAP if wanted == ("pde",) else VERIFY_CAP, "verifying", args.force)
+    check_cap(args.n, PDE_CAP if wanted == ("pde",) else VERIFY_CAP, "verifying", args.force)
     results: dict[str, dict[str, object]] = {}
     for suite in wanted:
         if suite == "eco":

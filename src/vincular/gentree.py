@@ -25,7 +25,7 @@ from itertools import accumulate, chain, islice
 from typing import Iterator, NamedTuple
 
 from .eco import _children, expand
-from .perms import Perm, check_length, label
+from .perms import Perm, check_cap, check_length, label
 
 ROOT: Perm = (1,)
 
@@ -209,8 +209,7 @@ def export_tree(n_max: int, fmt: str = "dot", force: bool = False) -> Iterator[s
     """Stream the tree down to length n_max as graphviz dot or nested json, a
     node at a time; past ``TREE_CAP`` only if forced, every check at the call."""
     check_length(n_max, 1)
-    if n_max > TREE_CAP and not force:
-        raise ValueError(f"tree export past n={TREE_CAP} needs --force (force=True)")
+    check_cap(n_max, TREE_CAP, "tree export", force)
     if fmt == "dot":
         root = _dot_name(ROOT)
         head = f"digraph gentree {{\n  node [shape=box];\n  {root};\n"

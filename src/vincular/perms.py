@@ -1,5 +1,5 @@
 """Permutations as tuples, dashed patterns, and occurrence search, with
-the library's one length check, ``check_length``.
+the library's one length check and one cap check.
 
 A permutation of length n is a tuple containing each of 1..n exactly once.
 The empty tuple is the empty permutation.  Functions that only compare
@@ -41,6 +41,12 @@ def check_length(n: int, least: int = 0, what: str = "length") -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < least:
         bound = {0: "nonnegative", 1: "positive"}.get(least, f"at least {least}")
         raise ValueError(f"{what} must be an integer, {bound}: {n!r}")
+
+
+def check_cap(n: int, cap: int, what: str, force: bool) -> None:
+    """Raise ValueError if ``n`` is past ``cap`` unless ``force``."""
+    if n > cap and not force:
+        raise ValueError(f"{what} past n={cap} needs --force (force=True)")
 
 
 class _Dashes(NamedTuple):

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import defaultdict
 from itertools import permutations, product
 
 import pytest
@@ -9,7 +10,6 @@ from vincular import brute
 
 from vincular.blocks import PATTERN
 from vincular.brute import (
-    ENUMERATION_CAP,
     _filter_avoiders,
     avoider_levels,
     brute_avoiders,
@@ -66,8 +66,6 @@ def test_level_sizes_guards():
     assert level_sizes(PATTERN, 0) == [1]
     with pytest.raises(ValueError, match="nonnegative: -1"):
         level_sizes(PATTERN, -1)
-    with pytest.raises(ValueError, match="force"):
-        level_sizes(PATTERN, ENUMERATION_CAP + 1)
 
 
 @pytest.mark.parametrize(
@@ -187,14 +185,7 @@ def test_avoider_levels_equal_filter(text):
 def test_avoider_levels_guards():
     with pytest.raises(ValueError):
         avoider_levels(PATTERN, -1)
-    with pytest.raises(ValueError):
-        avoider_levels(PATTERN, ENUMERATION_CAP + 1)
     assert avoider_levels(PATTERN, 0) == [[()]]
-
-
-def test_brute_avoiders_cap():
-    with pytest.raises(ValueError):
-        brute_avoiders(PATTERN, ENUMERATION_CAP + 1)
 
 
 def test_brute_census():
@@ -258,8 +249,6 @@ def test_avoider_levels_keep_breadth_first_order(text):
 def test_census_rows_check_n_when_called():
     with pytest.raises(ValueError, match="nonnegative"):
         census_rows(PATTERN, -1)
-    with pytest.raises(ValueError, match="force"):
-        census_rows(PATTERN, ENUMERATION_CAP + 1)
 
 
 def test_oracle_diff():
@@ -274,7 +263,34 @@ def test_oracle_diff_names_the_first_wrong_length():
 
 
 def test_oracle_diff_guards():
-    with pytest.raises(ValueError, match="force"):
-        oracle_diff([1] * (ENUMERATION_CAP + 2))
     with pytest.raises(ValueError):
         oracle_diff([])
+
+
+def free_rank_productions(text):
+    # label each node of the oracle's tree through n = 9 by its number of free
+    # ranks, and gather for each label the multisets of its children's labels
+    labels, children_of = {}, {}
+    for word, free, children in brute._walk(parse_dashed_pattern(text), 9):
+        labels[word] = free.bit_count()
+        if children is not None:
+            children_of[word] = children
+    productions = defaultdict(set)
+    for word, children in children_of.items():
+        productions[labels[word]].add(tuple(sorted(map(labels.__getitem__, children))))
+    return productions
+
+
+@pytest.mark.parametrize("text", ["1-32-4", "1-23-4"])
+def test_free_ranks_are_no_single_label(text):
+    # the paper's premise: appending a letter on the right gives these classes
+    # no succession rule, since labels 3 to 8 each have two or more productions
+    productions = free_rank_productions(text)
+    assert [k for k, seen in sorted(productions.items()) if len(seen) > 1] == [3, 4, 5, 6, 7, 8]
+
+
+def test_free_ranks_follow_the_catalan_rule_for_1_2_3():
+    # the classical 1-2-3 on the same tree: (k) -> (2)(3)...(k + 1)
+    productions = free_rank_productions("1-2-3")
+    assert sorted(productions) == list(range(1, 9))
+    assert all(seen == {tuple(range(2, k + 2))} for k, seen in productions.items())

@@ -132,6 +132,14 @@ def test_generate_n0_fails_before_any_output(capsys, fmt):
         assert "positive" in err, n
 
 
+@pytest.mark.parametrize("fmt", ["lines", "json"])
+def test_generate_stops_at_n255_even_forced(capsys, fmt):
+    # the templates hold the words as bytes, so a letter past 255 fails
+    # before the first node's text
+    code, out, _ = run(capsys, "generate", "--n", "256", "--force", "--format", fmt)
+    assert (code, out) == (2, "")
+
+
 @pytest.mark.parametrize("fmt, expected", [("lines", "1\n"), ("json", "[[1]]\n")])
 def test_generate_n1(capsys, fmt, expected):
     assert run(capsys, "generate", "--n", "1", "--format", fmt) == (0, expected, "")
@@ -544,22 +552,70 @@ def test_count_negative_n(capsys, method):
     assert "nonnegative" in err
 
 
-def refuse_brute_search(monkeypatch):
+# Every capped command: its argv without --n, the module and name of its cap,
+# and the module and name of the function where its work starts.
+CAPPED = {
+    "count": (["count"], cli, "RECURRENCE_CAP", counting, "avoider_counts"),
+    "count 31-4-2": (["count", "--pattern", "31-4-2"], cli, "CALLAN_CAP", counting, "callan_3142"),
+    "count cfrac": (
+        ["count", "--method", "cfrac"], cli, "CFRAC_CAP", counting, "compare_cfrac_with_counts"
+    ),
+    "count tree": (["count", "--method", "tree"], cli, "GENERATE_CAP", gentree, "walk"),
+    "count brute": (["count", "--method", "brute"], brute, "ENUMERATION_CAP", brute, "_walk"),
+    "generate": (["generate"], cli, "GENERATE_CAP", gentree, "iter_level"),
+    "triangle u": (["triangle", "--which", "u"], cli, "RECURRENCE_CAP", counting, "triangle_rows"),
+    "triangle v": (["triangle", "--which", "v"], cli, "RECURRENCE_CAP", counting, "triangle_rows"),
+    "triangle census": (["triangle", "--which", "census"], cli, "CENSUS_CAP", brute, "_walk"),
+    "tree dot": (["tree"], gentree, "TREE_CAP", gentree, "expand"),
+    "tree json": (["tree", "--format", "json"], gentree, "TREE_CAP", gentree, "expand"),
+    "verify all": (["verify"], cli, "VERIFY_CAP", gentree, "walk"),
+    "verify eco": (["verify", "--suite", "eco"], cli, "VERIFY_CAP", gentree, "walk"),
+    "verify labelling": (["verify", "--suite", "labelling"], cli, "VERIFY_CAP", gentree, "walk"),
+    "verify series": (
+        ["verify", "--suite", "series"], cli, "VERIFY_CAP", counting, "check_functional_equation"
+    ),
+    "verify pde": (["verify", "--suite", "pde"], cli, "PDE_CAP", counting, "check_pde"),
+}
+
+
+@pytest.mark.parametrize("name", CAPPED)
+def test_every_cap_refuses_before_any_work(capsys, monkeypatch, name):
+    argv, cap_module, cap_name, module, worker = CAPPED[name]
+    cap = getattr(cap_module, cap_name)
+
     def refuse(*args, **kwargs):
-        raise AssertionError("the brute search ran although n is past the cap")
+        raise AssertionError(f"{worker} ran although n is past the cap")
 
-    monkeypatch.setattr(brute, "avoider_levels", refuse)
-    monkeypatch.setattr(brute, "level_sizes", refuse)
-    monkeypatch.setattr(brute, "brute_avoiders", refuse)
+    monkeypatch.setattr(module, worker, refuse)
+    code, out, err = run(capsys, *argv, "--n", str(cap + 1))
+    assert (code, out) == (2, "")
+    assert err.endswith(f" past n={cap} needs --force (force=True)\n")
 
 
-def test_count_brute_cap_before_any_level(capsys, monkeypatch):
-    refuse_brute_search(monkeypatch)
-    n = brute.ENUMERATION_CAP + 1
-    code, out, err = run(capsys, "count", "--method", "brute", "--n", str(n))
-    assert code == 2
-    assert out == ""
-    assert "--force" in err
+@pytest.mark.parametrize("name", CAPPED)
+def test_force_lifts_every_cap(capsys, monkeypatch, name):
+    argv, cap_module, cap_name, _, _ = CAPPED[name]
+    argv = [*argv, "--n", "3"]
+    expected = run(capsys, *argv)
+    assert expected[0] == 0
+    monkeypatch.setattr(cap_module, cap_name, 2)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(" past n=2 needs --force (force=True)\n")
+    assert run(capsys, *argv, "--force") == expected
+
+
+@pytest.mark.parametrize(
+    "argv", [["triangle", "--which", "census"], ["verify", "--suite", "eco"]], ids=lambda argv: argv[-1]
+)
+def test_force_reaches_the_oracle_cap(capsys, monkeypatch, argv):
+    # the oracle's cap sits above the command's own, so only a forwarded
+    # --force lifts it
+    argv = [*argv, "--n", "3"]
+    expected = run(capsys, *argv)
+    monkeypatch.setattr(brute, "ENUMERATION_CAP", 2)
+    assert run(capsys, *argv)[0] == 2
+    assert run(capsys, *argv, "--force") == expected
 
 
 @pytest.mark.parametrize(
@@ -582,13 +638,6 @@ def test_counting_caps_before_any_work(capsys, monkeypatch, worker, argv):
     assert code == 2
     assert out == ""
     assert "--force" in err
-
-
-def test_force_lifts_the_counting_caps(capsys, monkeypatch):
-    _, unforced, _ = run(capsys, "count", "--n", "5")
-    monkeypatch.setattr(cli, "RECURRENCE_CAP", 3)
-    assert run(capsys, "count", "--n", "5")[0] == 2
-    assert run(capsys, "count", "--n", "5", "--force") == (0, unforced, "")
 
 
 @pytest.mark.skipif(
@@ -623,12 +672,6 @@ def test_force_restores_the_digit_limit(capsys, n, code):
         sys.set_int_max_str_digits(limit)
 
 
-def test_generate_cap(capsys):
-    code, _, err = run(capsys, "generate", "--n", "12")
-    assert code == 2
-    assert "--force" in err
-
-
 def test_triangle_u(capsys):
     code, out, _ = run(capsys, "triangle", "--which", "u", "--n", "2")
     assert code == 0
@@ -661,14 +704,6 @@ def test_triangle_rejects_negative_n(capsys, which):
     assert "nonnegative" in err
 
 
-def test_triangle_census_cap(capsys, monkeypatch):
-    refuse_brute_search(monkeypatch)
-    code, out, err = run(capsys, "triangle", "--which", "census", "--n", "10")
-    assert code == 2
-    assert out == ""
-    assert "--force" in err
-
-
 def test_tree_dot(capsys):
     code, out, _ = run(capsys, "tree", "--n", "2")
     assert code == 0
@@ -680,19 +715,6 @@ def test_tree_json(capsys):
     code, out, _ = run(capsys, "tree", "--n", "3", "--format", "json")
     assert code == 0
     assert json.loads(out)["perm"] == [1]
-
-
-def test_tree_dot_cap(capsys):
-    code, _, err = run(capsys, "tree", "--n", "9")
-    assert code == 2
-    assert "--force" in err
-
-
-def test_tree_json_cap(capsys):
-    code, out, err = run(capsys, "tree", "--format", "json", "--n", "9")
-    assert code == 2
-    assert out == ""
-    assert "--force" in err
 
 
 def test_verify_all(capsys):
@@ -758,13 +780,6 @@ def test_verify_fails_on_a_child_that_contains_the_pattern(capsys, monkeypatch):
         1,
         "eco: FAIL (child (1, 3, 2, 4) of (3, 2, 1): permutation contains 1-32-4: (1, 3, 2, 4))\n",
     )
-
-
-def test_verify_cap(capsys):
-    code, out, err = run(capsys, "verify", "--suite", "labelling", "--n", "12")
-    assert code == 2
-    assert out == ""
-    assert "--force" in err
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])

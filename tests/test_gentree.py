@@ -368,10 +368,6 @@ def test_export_tree_labels_each_node_once(monkeypatch, fmt):
 
 def test_export_tree_caps_and_errors():
     # each error comes at the call, before the first piece of text
-    with pytest.raises(ValueError, match="--force"):
-        export_tree(9, "dot")
-    with pytest.raises(ValueError, match="--force"):
-        export_tree(9, "json")
     with pytest.raises(ValueError):
         export_tree(2, "svg")
     with pytest.raises(ValueError):

@@ -211,6 +211,60 @@ def test_every_length_is_checked(name, n):
         call(n)
 
 
+# Every library function that takes ``force``, as a call on the length and ``force``,
+# with the module and name of its cap.  ``oracle_diff`` reads n off n + 1 sizes.
+CAP_TAKERS = {
+    "level_sizes": (partial(brute.level_sizes, PATTERN), brute, "ENUMERATION_CAP"),
+    "avoider_levels": (partial(brute.avoider_levels, PATTERN), brute, "ENUMERATION_CAP"),
+    "brute_avoiders": (partial(brute.brute_avoiders, PATTERN), brute, "ENUMERATION_CAP"),
+    "census_rows": (
+        lambda n, force=False: list(brute.census_rows(PATTERN, n, force=force)), brute, "ENUMERATION_CAP"
+    ),
+    "brute_census": (partial(brute.brute_census, PATTERN), brute, "ENUMERATION_CAP"),
+    "oracle_diff": (
+        lambda n, force=False: brute.oracle_diff([1] * (n + 1), force=force), brute, "ENUMERATION_CAP"
+    ),
+    "export_tree dot": (
+        lambda n, force=False: "".join(gentree.export_tree(n, "dot", force)), gentree, "TREE_CAP"
+    ),
+    "export_tree json": (
+        lambda n, force=False: "".join(gentree.export_tree(n, "json", force)), gentree, "TREE_CAP"
+    ),
+}
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the work started although n is past the cap")
+
+
+@pytest.mark.parametrize("name", CAP_TAKERS)
+def test_every_library_cap_refuses_before_any_work(monkeypatch, name):
+    call, module, cap_name = CAP_TAKERS[name]
+    cap = getattr(module, cap_name)
+    monkeypatch.setattr(brute, "_walk", refuse)
+    monkeypatch.setattr(gentree, "expand", refuse)
+    with pytest.raises(ValueError, match=rf" past n={cap} needs --force \(force=True\)$"):
+        call(cap + 1)
+
+
+@pytest.mark.parametrize("name", CAP_TAKERS)
+def test_force_lifts_every_library_cap(monkeypatch, name):
+    call, module, cap_name = CAP_TAKERS[name]
+    expected = call(3)
+    monkeypatch.setattr(module, cap_name, 2)
+    with pytest.raises(ValueError, match=r" past n=2 needs --force \(force=True\)$"):
+        call(3)
+    assert call(3, force=True) == expected
+
+
+def count_by_brute(n):
+    return cli.main(["count", "--method", "brute", "--n", str(n)])
+
+
+def tree_json(n):
+    return "".join(gentree.export_tree(n, "json"))
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -219,16 +273,24 @@ def test_every_length_is_checked(name, n):
         counting.check_pde,
         partial(brute.census_rows, PATTERN),
         lambda n: cli.main(["count", "--method", "tree", "--n", str(n)]),
+        count_by_brute,
+        tree_json,
     ],
 )
 def test_length_is_checked_once_per_call(monkeypatch, call, capsys):
-    # per call, never per row, node or word: the same count at two sizes
+    # per call, never per row, node or word: the same checks at two sizes, and
+    # no cap checked twice
     calls = []
     for module in (brute, cli, counting, gentree):
-        monkeypatch.setattr(module, "check_length", lambda *args: calls.append(args) or perms.check_length(*args))
-    counts = []
+        for check in (perms.check_length, perms.check_cap):
+            if hasattr(module, check.__name__):
+                counted = lambda *args, check=check: calls.append((check, args)) or check(*args)
+                monkeypatch.setattr(module, check.__name__, counted)
+    checks = []
     for n in (3, 6):
         calls.clear()
         call(n)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        caps = [args[1] for check, args in calls if check is perms.check_cap]
+        assert len(set(caps)) == len(caps)
+        checks.append((len(calls) - len(caps), caps))
+    assert checks[0] == checks[1] and checks[0][0] > 0
